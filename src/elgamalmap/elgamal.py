@@ -2,8 +2,9 @@
 {1, ..., p-1}, plus a minimal ElGamal signature sign/verify pair built
 from the same arithmetic.
 
-The permutation uses exponents taken literally in {1, ..., p-1}, so
-x = p-1 maps to g**(p-1) = 1.  Messages and keys in the signature scheme
+The permutation's domain is {1, ..., p-1}, so x = p-1 maps to
+g**(p-1) = 1; it reads the power table, which is indexed by exponents in
+Z_{p-1}, at x mod (p-1).  Messages and keys in the signature scheme
 are raw residues mod p-1; there is no hashing.
 """
 
@@ -12,7 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .numth import GroupParams, mod_inverse, mod_pow
+import numpy as np
+
+from .numth import GroupParams, mod_inverse, mod_pow, power_table
 
 __all__ = ["Permutation", "Signature", "elgamal_permutation", "sign", "verify"]
 
@@ -40,18 +43,10 @@ class Permutation:
 
 
 def elgamal_permutation(params: GroupParams) -> Permutation:
-    """The permutation x -> g**x mod p of {1, ..., p-1}.
-
-    Each entry is one modular multiplication from the previous, so the
-    whole table costs p-2 multiplications.
-    """
-    p, g = params.p, params.g
-    image = []
-    acc = 1
-    for _ in range(1, p):
-        acc = acc * g % p
-        image.append(acc)
-    return Permutation(p - 1, tuple(image))
+    """The permutation x -> g**x mod p of {1, ..., p-1}."""
+    p, d = params.p, params.d
+    image = power_table(p, params.g)[np.arange(1, p) % d]
+    return Permutation(d, tuple(image.tolist()))
 
 
 @dataclass(frozen=True)

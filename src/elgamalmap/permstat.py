@@ -17,7 +17,7 @@ from math import gcd
 import numpy as np
 
 from .elgamal import Permutation, elgamal_permutation
-from .numth import GroupParams, is_prime, smallest_generator
+from .numth import GroupParams, is_prime, power_table, smallest_generator
 
 __all__ = [
     "CycleStructure",
@@ -231,11 +231,7 @@ def fixed_point_sweep(max_prime: int) -> list[tuple[int, float]]:
             continue
         d = p - 1
         g0 = smallest_generator(p).g
-        ptab = np.empty(d, dtype=np.int64)
-        acc = 1
-        for e in range(d):
-            ptab[e] = acc
-            acc = acc * g0 % p
+        ptab = power_table(p, g0)
         xs = np.arange(1, p, dtype=np.int64)
         xmod = xs % d  # exponent of x = p-1 wraps to 0
         total = 0

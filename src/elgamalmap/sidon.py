@@ -8,10 +8,10 @@ measures the difference-set cardinality (which must be
 group against the point set, and computes the incomplete exponential
 sums that control box equidistribution.
 
-Exponents here live in {0, ..., p-2}.  The companion permutation module
-uses {1, ..., p-1}; the two never exchange raw exponents, only values
-reduced mod p-1 (residue 0 corresponds to p-1 there).  Points are
-ordered (group element, exponent), i.e. the Z_p coordinate first.
+Exponents are the residues {0, ..., p-2} of Z_{p-1}, the index set of
+`numth.power_table`; the permutation module reads the same table at
+x mod p-1 for x in {1, ..., p-1}.  Points are ordered
+(group element, exponent), i.e. the Z_p coordinate first.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numth import GroupParams
+from .numth import GroupParams, power_table
 
 __all__ = [
     "SidonGraph",
@@ -72,14 +72,9 @@ class SidonGraph:
 
 
 def build_graph(params: GroupParams) -> SidonGraph:
-    """The p-1 points (g**x, x), x ascending from 0, first coordinates
-    computed incrementally from g**0 = 1."""
+    """The p-1 points (g**x, x), x ascending from 0."""
     p, g, d = params.p, params.g, params.d
-    first = np.empty(d, dtype=np.int64)
-    acc = 1
-    for x in range(d):
-        first[x] = acc
-        acc = acc * g % p
+    first = power_table(p, g)
     return SidonGraph(p=p, g=g, first=first, second=np.arange(d, dtype=np.int64))
 
 
