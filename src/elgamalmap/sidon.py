@@ -206,17 +206,20 @@ def max_nontrivial_character_sum(graph: SidonGraph) -> tuple[float, CharacterInd
     All magnitudes are obtained at once as the 2-D discrete Fourier
     transform of the point set's indicator array on the Z_p x Z_{p-1}
     grid; entry (s, t) of the transform is the conjugate of the
-    character sum, so the magnitudes are identical.  Exact ties resolve
-    to the smallest (s, then t), the first index in row-major scan
-    order.
+    character sum, so the magnitudes are identical.  The index is the
+    first in row-major order (smallest s, then t) whose magnitude lies
+    within a relative 1e-9 of the maximum: for a genuine graph every
+    (s, t) with s, t != 0 has magnitude sqrt(p), so the exact argmax
+    would be picked by rounding noise, and this rule gives (1, 1).
     """
     p, d = graph.p, graph.d
     indicator = np.zeros((p, d))
     indicator[graph.first, graph.second] = 1.0
     magnitudes = np.abs(np.fft.fft2(indicator))
     magnitudes[0, 0] = -1.0  # exclude the trivial character
-    s, t = divmod(int(np.argmax(magnitudes)), d)
-    return float(magnitudes[s, t]), CharacterIndex(s, t)
+    peak = float(magnitudes.max())
+    s, t = divmod(int(np.argmax(magnitudes >= peak * (1.0 - 1e-9))), d)
+    return peak, CharacterIndex(s, t)
 
 
 def incomplete_exponential_sum_total(n: int, N: int, h: int) -> float:

@@ -167,6 +167,18 @@ def test_character_bound_small_primes(p):
         assert value < sidon_character_bound(p)
 
 
+@pytest.mark.parametrize("p", [3, 5, 61, 101])
+def test_argmax_is_first_index_of_the_tie(p):
+    """Every (s, t) with s, t != 0 ties at sqrt(p); the first in
+    row-major order wins, whatever the rounding noise."""
+    for g in all_generators(p):
+        _, chi = max_nontrivial_character_sum(build_graph(GroupParams(p, g)))
+        assert chi == CharacterIndex(1, 1)
+    # one point: every character has magnitude 1, so (0, 1) comes first
+    _, chi = max_nontrivial_character_sum(point_set(p, [(1, 0)]))
+    assert chi == CharacterIndex(0, 1)
+
+
 @pytest.mark.parametrize("p", [5, 13])
 def test_parseval_via_direct_evaluator(p):
     graph = build_graph(smallest_generator(p))
