@@ -15,14 +15,20 @@ import argparse
 import json
 import sys
 from collections import Counter
-from dataclasses import dataclass
 from math import gcd
 
 import numpy as np
 
 from .discrepancy import sweep, theorem_bound
 from .elgamal import elgamal_permutation, sign, verify
-from .numth import GroupParams, all_generators, is_prime, mod_pow, smallest_generator
+from .numth import (
+    MAX_TABLE_MODULUS,
+    GroupParams,
+    all_generators,
+    is_prime,
+    mod_pow,
+    smallest_generator,
+)
 from .permstat import (
     cycle_decompose,
     family_statistics,
@@ -41,7 +47,7 @@ from .sidon import (
     verify_sidon,
 )
 
-__all__ = ["RunConfig", "main"]
+__all__ = ["main"]
 
 DEFAULT_SEED = 0
 DIST_MAX_CYCLES = 20  # cycle-count tables truncate here
@@ -51,28 +57,11 @@ class InputError(Exception):
     """Bad user input (composite prime, non-generator, ...)."""
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated inputs of one CLI run.
-
-    Prime inputs are checked with is_prime before any experiment runs;
-    the seed defaults to 0 so bare invocations are reproducible.
-    """
-
-    subcommand: str
-    prime: int | None = None
-    max_prime: int | None = None
-    generator: str = "smallest"
-    seed: int = DEFAULT_SEED
-    out_format: str = "csv"
-    out_path: str | None = None
-    k_max: int = DIST_MAX_CYCLES
-    boxes: int = 0
-
-
 def _require_odd_prime(n: int) -> int:
     if n < 3 or not is_prime(n):
         raise InputError(f"{n} is not an odd prime")
+    if n > MAX_TABLE_MODULUS:
+        raise InputError(f"--prime {n} is above the supported maximum {MAX_TABLE_MODULUS}")
     return n
 
 
@@ -345,6 +334,17 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+def _seed(text: str) -> int:
+    """--seed values: numpy's default_rng rejects negative seeds."""
+    try:
+        seed = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {seed}")
+    return seed
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="elgamalmap", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="subcommand", required=True, parser_class=_Parser)
@@ -367,7 +367,7 @@ def _build_parser() -> _Parser:
     p = add("random-baseline", _cmd_random_baseline, "cycle-count distribution of seeded uniform permutations")
     p.add_argument("--degree", type=int, required=True)
     p.add_argument("--samples", type=int, required=True)
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p.add_argument("--seed", type=_seed, default=DEFAULT_SEED)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
 
     p = add("kcycles", _cmd_kcycles, "average k-cycle counts vs the 1/k law")
@@ -396,7 +396,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--prime", type=int, required=True)
     p.add_argument("--generator", default="smallest", help="an integer or 'smallest'")
     p.add_argument("--boxes", type=int, default=0, help="number of random boxes")
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p.add_argument("--seed", type=_seed, default=DEFAULT_SEED)
 
     p = add("render-cycles", _cmd_render_cycles, "SVG cycle diagram, one circle per cycle")
     p.add_argument("--prime", type=int, required=True)
@@ -404,28 +404,10 @@ def _build_parser() -> _Parser:
 
     p = add("sign-demo", _cmd_sign_demo, "seeded sign/verify round trip")
     p.add_argument("--prime", type=int, required=True)
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p.add_argument("--seed", type=_seed, default=DEFAULT_SEED)
     p.add_argument("--tamper", action="store_true", help="verify against m+1 instead of m")
 
     return parser
-
-
-_JSON_ONLY = frozenset({"sidon", "char-sums", "polya", "discrepancy", "sign-demo"})
-
-
-def _config_from_args(args) -> RunConfig:
-    default_format = "json" if args.subcommand in _JSON_ONLY else "csv"
-    return RunConfig(
-        subcommand=args.subcommand,
-        prime=getattr(args, "prime", None),
-        max_prime=getattr(args, "max_prime", None),
-        generator=str(getattr(args, "generator", "smallest")),
-        seed=getattr(args, "seed", DEFAULT_SEED),
-        out_format=getattr(args, "format", default_format),
-        out_path=getattr(args, "out", None),
-        k_max=getattr(args, "k_max", DIST_MAX_CYCLES),
-        boxes=getattr(args, "boxes", 0),
-    )
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -433,9 +415,6 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.subcommand == "render-cycles" and not args.out:
             raise InputError("render-cycles requires --out PATH for the SVG file")
-        config = _config_from_args(args)
-        if config.prime is not None:
-            _require_odd_prime(config.prime)
         ok = args.handler(args)
     except InputError as exc:
         print(f"elgamalmap: error: {exc}", file=sys.stderr)

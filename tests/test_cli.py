@@ -3,7 +3,7 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
-from elgamalmap.cli import DEFAULT_SEED, RunConfig, main
+from elgamalmap.cli import main
 
 
 def run(capsys, *argv):
@@ -214,6 +214,37 @@ def test_composite_prime_is_input_error(capsys):
     assert "not an odd prime" in captured.err
 
 
+@pytest.mark.parametrize("subcommand", ["cycles", "sidon", "discrepancy", "sign-demo"])
+def test_prime_above_table_limit_is_input_error(capsys, subcommand):
+    # the largest 64-bit prime: once a hang or a numpy traceback
+    code = main([subcommand, "--prime", "18446744073709551557"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("elgamalmap: error: ")
+    assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sign-demo", "--prime", "5"],
+        ["discrepancy", "--prime", "5"],
+        ["random-baseline", "--degree", "3", "--samples", "2"],
+    ],
+)
+def test_negative_seed_is_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--seed", "-1"])
+    captured = capsys.readouterr()
+    assert exc.value.code == 1
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert lines[0].startswith("usage: ")
+    assert lines[-1].endswith(": error: argument --seed: must be >= 0, got -1")
+    assert sum("error" in line for line in lines) == 1
+
+
 def test_non_generator_is_input_error(capsys):
     code = main(["cycles", "--prime", "7", "--generator", "2"])
     capsys.readouterr()
@@ -245,11 +276,3 @@ def test_json_format_for_tables(capsys):
     doc = json.loads(out)
     assert doc["columns"] == ["k", "theory", "empirical_average"]
     assert len(doc["rows"]) == 2
-
-
-def test_run_config_defaults():
-    config = RunConfig(subcommand="cycles", prime=5)
-    assert config.seed == DEFAULT_SEED == 0
-    assert config.out_format == "csv"
-    assert config.out_path is None
-    assert config.generator == "smallest"

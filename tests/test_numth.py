@@ -1,9 +1,11 @@
+import numpy as np
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from elgamalmap.numth import (
+    MAX_TABLE_MODULUS,
     FactoredInteger,
     GroupParams,
     all_generators,
@@ -12,6 +14,7 @@ from elgamalmap.numth import (
     is_prime,
     mod_inverse,
     mod_pow,
+    power_table,
     smallest_generator,
 )
 
@@ -207,14 +210,24 @@ def test_generators_are_bijective_large(p):
         assert seen == full
 
 
-@settings(max_examples=30)
-@given(st.sampled_from([3, 5, 7, 11, 13, 17]), st.data())
-def test_power_table_agrees_with_mod_pow(p, data):
-    g = data.draw(st.sampled_from(all_generators(p)))
-    x = data.draw(st.integers(min_value=0, max_value=3 * p))
-    acc = 1
-    table = {0: 1}
-    for e in range(1, p - 1):
-        acc = acc * g % p
-        table[e] = acc
-    assert mod_pow(g, x, p) == table[x % (p - 1)]
+def test_power_table_agrees_with_mod_pow():
+    """Every g in [1, p-1], including non-generators, and the edge
+    cases d = p-1 = 1 and 2; exponents wrap mod p-1."""
+    for p in [2, 3, 5, 7, 11, 13, 17, 61, 101]:
+        for g in range(1, p):
+            table = power_table(p, g)
+            assert table.dtype == np.int64
+            assert len(table) == p - 1
+            for x in range(3 * p):
+                assert mod_pow(g, x, p) == table[x % (p - 1)]
+
+
+def test_power_table_at_the_size_limit():
+    p = 999983  # the largest prime below MAX_TABLE_MODULUS
+    assert p <= MAX_TABLE_MODULUS
+    table = power_table(p, 5)
+    for e in [0, 1, 2, 524287, 524288, 524289, p - 2]:
+        assert table[e] == pow(5, e, p)
+    for bad in [1, MAX_TABLE_MODULUS + 1, 18446744073709551557]:
+        with pytest.raises(ValueError):
+            power_table(bad, 2)
