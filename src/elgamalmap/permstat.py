@@ -230,8 +230,7 @@ def fixed_point_sweep(max_prime: int) -> list[tuple[int, float]]:
             rows.append((2, 1.0))
             continue
         d = p - 1
-        g0 = smallest_generator(p).g
-        ptab = power_table(p, g0)
+        ptab = power_table(p, smallest_generator(p).g)
         xs = np.arange(1, p, dtype=np.int64)
         xmod = xs % d  # exponent of x = p-1 wraps to 0
         total = 0

@@ -74,8 +74,7 @@ class SidonGraph:
 def build_graph(params: GroupParams) -> SidonGraph:
     """The p-1 points (g**x, x), x ascending from 0."""
     p, g, d = params.p, params.g, params.d
-    first = power_table(p, g)
-    return SidonGraph(p=p, g=g, first=first, second=np.arange(d, dtype=np.int64))
+    return SidonGraph(p=p, g=g, first=power_table(p, g), second=np.arange(d, dtype=np.int64))
 
 
 def point_set(p: int, points: list[Point]) -> SidonGraph:
