@@ -45,7 +45,6 @@ from .sidon import (
     SidonGraph,
     build_graph,
     character_sum,
-    difference_set_size,
     incomplete_exponential_sum_profile,
     incomplete_exponential_sum_total,
     max_nontrivial_character_sum,

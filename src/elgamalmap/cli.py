@@ -38,8 +38,8 @@ from .permstat import (
 )
 from .render import cycle_diagram_svg
 from .sidon import (
+    MAX_DENSE_CELLS,
     build_graph,
-    difference_set_size,
     incomplete_exponential_sum_total,
     max_nontrivial_character_sum,
     polya_vinogradov_bound,
@@ -63,6 +63,19 @@ def _require_odd_prime(n: int) -> int:
     if n > MAX_TABLE_MODULUS:
         raise InputError(f"--prime {n} is above the supported maximum {MAX_TABLE_MODULUS}")
     return n
+
+
+def _require_count(value: int, flag: str, low: int, high: int) -> None:
+    if value < low:
+        raise InputError(f"{flag} must be >= {low}, got {value}")
+    if value > high:
+        raise InputError(f"{flag} {value} is above the supported maximum {high}")
+
+
+def _require_dense(cells: int, what: str) -> None:
+    """Reject an input whose dense array would exceed MAX_DENSE_CELLS, before it is built."""
+    if cells > MAX_DENSE_CELLS:
+        raise InputError(f"{what} needs {cells} cells, above the supported maximum {MAX_DENSE_CELLS}")
 
 
 def _resolve_generators(p: int, selection: str) -> list[int]:
@@ -153,10 +166,9 @@ def _cmd_cycle_dist(args) -> bool:
 
 
 def _cmd_random_baseline(args) -> bool:
-    if args.degree < 1:
-        raise InputError(f"--degree must be >= 1, got {args.degree}")
-    if args.samples < 1:
-        raise InputError(f"--samples must be >= 1, got {args.samples}")
+    _require_count(args.degree, "--degree", 1, MAX_TABLE_MODULUS)
+    _require_count(args.samples, "--samples", 1, MAX_DENSE_CELLS)
+    _require_dense(args.degree * args.samples, f"--degree {args.degree} --samples {args.samples}")
     counts = [
         len(cycle_decompose(random_permutation(args.degree, args.seed + i)).cycle_lengths)
         for i in range(args.samples)
@@ -168,8 +180,7 @@ def _cmd_random_baseline(args) -> bool:
 
 def _cmd_kcycles(args) -> bool:
     p = _require_odd_prime(args.prime)
-    if args.k_max < 1:
-        raise InputError(f"--k-max must be >= 1, got {args.k_max}")
+    _require_count(args.k_max, "--k-max", 1, MAX_TABLE_MODULUS)
     stats = family_statistics(p, all_generators(p), k_max=args.k_max)
     rows = [
         (k, 1.0 / k, stats.avg_k_cycles[k - 1]) for k in range(1, args.k_max + 1)
@@ -188,20 +199,19 @@ def _cmd_fixed_points(args) -> bool:
 
 def _cmd_sidon(args) -> bool:
     p = _require_odd_prime(args.prime)
+    _require_dense(p * (p - 1), f"--prime {p}")
     expected = (p - 1) ** 2 - (p - 1) + 1
     results = []
     all_ok = True
     for g in _resolve_generators(p, args.generator):
-        graph = build_graph(GroupParams(p, g))
-        check = verify_sidon(graph)
-        size = difference_set_size(graph)
-        ok = check.ok and size == expected
+        check = verify_sidon(build_graph(GroupParams(p, g)))
+        ok = check.ok and check.diff_set_size == expected
         all_ok &= ok
         results.append(
             {
                 "generator": g,
                 "ok": ok,
-                "diff_set_size": size,
+                "diff_set_size": check.diff_set_size,
                 "expected_diff_set_size": expected,
             }
         )
@@ -211,6 +221,7 @@ def _cmd_sidon(args) -> bool:
 
 def _cmd_char_sums(args) -> bool:
     p = _require_odd_prime(args.prime)
+    _require_dense(p * (p - 1), f"--prime {p}")
     bound = sidon_character_bound(p)
     results = []
     all_ok = True
@@ -233,6 +244,7 @@ def _cmd_char_sums(args) -> bool:
 
 
 def _cmd_polya(args) -> bool:
+    _require_dense(args.n * args.window, f"--n {args.n} --window {args.window}")
     try:
         total = incomplete_exponential_sum_total(args.n, args.window, args.shift)
     except ValueError as exc:
@@ -257,8 +269,7 @@ def _cmd_polya(args) -> bool:
 
 def _cmd_discrepancy(args) -> bool:
     p = _require_odd_prime(args.prime)
-    if args.boxes < 0:
-        raise InputError(f"--boxes must be >= 0, got {args.boxes}")
+    _require_count(args.boxes, "--boxes", 0, MAX_TABLE_MODULUS)
     g = _resolve_single_generator(p, args.generator)
     report = sweep(build_graph(GroupParams(p, g)), args.boxes, args.seed)
     bound = theorem_bound(p)

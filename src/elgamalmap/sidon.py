@@ -24,13 +24,13 @@ import numpy as np
 from .numth import GroupParams, power_table
 
 __all__ = [
+    "MAX_DENSE_CELLS",
     "SidonGraph",
     "CharacterIndex",
     "SidonCheck",
     "build_graph",
     "point_set",
     "verify_sidon",
-    "difference_set_size",
     "character_sum",
     "max_nontrivial_character_sum",
     "incomplete_exponential_sum_total",
@@ -95,71 +95,56 @@ def point_set(p: int, points: list[Point]) -> SidonGraph:
     return SidonGraph(p=p, g=0, first=arr[:, 0].copy(), second=arr[:, 1].copy())
 
 
+# Largest dense array, in cells, the CLI runs the O(p**2) kernels on:
+# p*(p-1) for the difference counts and the character-sum grid, n*N for
+# the incomplete-sum root table.  p = 5791 is the largest prime inside.
+MAX_DENSE_CELLS = 2**25
+
+
 @dataclass(frozen=True)
 class SidonCheck:
     """Outcome of the exhaustive difference count.
 
-    On failure, `witness` holds two distinct ordered point pairs
-    ((a, b), (c, d)) with a - b = c - d != 0 componentwise mod
-    (p, p-1).
+    `diff_set_size` is the cardinality of {a - b : a, b in the set},
+    zero difference included; for a genuine exponentiation graph it is
+    (p-1)**2 - (p-1) + 1.  On failure, `witness` holds two distinct
+    ordered point pairs ((a, b), (c, d)) with a - b = c - d != 0
+    componentwise mod (p, p-1).
     """
 
     ok: bool
+    diff_set_size: int
     witness: tuple[tuple[Point, Point], tuple[Point, Point]] | None = None
 
 
-def _difference_codes(graph: SidonGraph) -> np.ndarray:
-    """All ordered pairwise differences, encoded as u*(p-1) + v."""
-    p, d = graph.p, graph.d
-    du = (graph.first[:, None] - graph.first[None, :]) % p
-    dv = (graph.second[:, None] - graph.second[None, :]) % d
-    return (du * d + dv).ravel()
-
-
 def verify_sidon(graph: SidonGraph) -> SidonCheck:
-    """Count, for every nonzero difference, the ordered point pairs
-    realizing it; the set is Sidon iff every count is at most one.
+    """Count, for every difference, the ordered point pairs realizing
+    it; the set is Sidon iff every nonzero difference is realized at
+    most once.
 
-    Exhaustive over all size**2 ordered pairs (the zero difference,
+    Exhaustive over all size**2 ordered pairs, with differences encoded
+    as u*(p-1) + v and counted in one `bincount` (the zero difference,
     realized exactly `size` times on the diagonal, is exempt).  On
     failure the reported witness is the smallest colliding difference in
-    (u, v) lexicographic order.
+    (u, v) lexicographic order, realized by its first two ordered pairs
+    in row-major order.
     """
-    codes = _difference_codes(graph)
-    values, counts = np.unique(codes, return_counts=True)
-    bad = (values != 0) & (counts > 1)
-    if not bad.any():
-        return SidonCheck(ok=True)
-    code = int(values[np.argmax(bad)])
-    u, v = divmod(code, graph.d)
-    pairs = _pairs_with_difference(graph, u, v, limit=2)
-    return SidonCheck(ok=False, witness=(pairs[0], pairs[1]))
-
-
-def _pairs_with_difference(
-    graph: SidonGraph, u: int, v: int, limit: int
-) -> list[tuple[Point, Point]]:
     p, d = graph.p, graph.d
+    codes = (graph.first[:, None] - graph.first[None, :]) % p
+    codes *= d
+    codes += (graph.second[:, None] - graph.second[None, :]) % d
+    codes = codes.ravel()
+    counts = np.bincount(codes, minlength=p * d)
+    diff_set_size = int(np.count_nonzero(counts))
+    collisions = np.flatnonzero(counts[1:] > 1)
+    if len(collisions) == 0:
+        return SidonCheck(ok=True, diff_set_size=diff_set_size)
     pts = graph.points
-    found = []
-    for a in pts:
-        for b in pts:
-            if a == b:
-                continue
-            if (a[0] - b[0]) % p == u and (a[1] - b[1]) % d == v:
-                found.append((a, b))
-                if len(found) == limit:
-                    return found
-    return found
-
-
-def difference_set_size(graph: SidonGraph) -> int:
-    """Cardinality of {a - b : a, b in the set}, zero difference included.
-
-    For a genuine exponentiation graph this equals
-    (p-1)**2 - (p-1) + 1.
-    """
-    return len(np.unique(_difference_codes(graph)))
+    (i, j), (k, l) = (
+        divmod(int(pos), graph.size) for pos in np.flatnonzero(codes == collisions[0] + 1)[:2]
+    )
+    witness = ((pts[i], pts[j]), (pts[k], pts[l]))
+    return SidonCheck(ok=False, diff_set_size=diff_set_size, witness=witness)
 
 
 @dataclass(frozen=True)

@@ -32,7 +32,6 @@ from elgamalmap.sidon import (
     CharacterIndex,
     build_graph,
     character_sum,
-    difference_set_size,
     incomplete_exponential_sum_profile,
     incomplete_exponential_sum_total,
     max_nontrivial_character_sum,
@@ -74,9 +73,9 @@ def test_criterion_02_sidon_exactness():
         for p in _odd_primes_up_to(200):
             expected = (p - 1) ** 2 - (p - 1) + 1
             for g in all_generators(p):
-                graph = build_graph(GroupParams(p, g))
-                assert verify_sidon(graph).ok, (p, g)
-                assert difference_set_size(graph) == expected, (p, g)
+                check = verify_sidon(build_graph(GroupParams(p, g)))
+                assert check.ok, (p, g)
+                assert check.diff_set_size == expected, (p, g)
                 pairs += 1
         assert pairs > 1000  # sanity: the sweep really was exhaustive
 

@@ -214,10 +214,37 @@ def test_composite_prime_is_input_error(capsys):
     assert "not an odd prime" in captured.err
 
 
-@pytest.mark.parametrize("subcommand", ["cycles", "sidon", "discrepancy", "sign-demo"])
-def test_prime_above_table_limit_is_input_error(capsys, subcommand):
-    # the largest 64-bit prime: once a hang or a numpy traceback
-    code = main([subcommand, "--prime", "18446744073709551557"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # the largest 64-bit prime: once a hang or a numpy traceback
+        pytest.param([sub, "--prime", "18446744073709551557"], id=sub)
+        for sub in ["cycles", "sidon", "discrepancy", "sign-demo"]
+    ]
+    + [
+        # dense arrays above MAX_DENSE_CELLS: once numpy _ArrayMemoryError
+        pytest.param(["sidon", "--prime", "100003"], id="sidon-dense"),
+        pytest.param(["sidon", "--prime", "5801"], id="sidon-first-prime-outside"),
+        pytest.param(["char-sums", "--prime", "100003"], id="char-sums-dense"),
+        pytest.param(["polya", "--n", "100000", "--window", "50000"], id="polya-dense"),
+        pytest.param(["polya", "--n", "1000000000", "--window", "1"], id="polya-huge-n"),
+        pytest.param(
+            ["random-baseline", "--degree", "1000", "--samples", "100000"],
+            id="random-baseline-cells",
+        ),
+        # counts above MAX_TABLE_MODULUS: once a traceback or a hang
+        pytest.param(
+            ["random-baseline", "--degree", "1000000000", "--samples", "1"],
+            id="random-baseline-degree",
+        ),
+        pytest.param(["kcycles", "--prime", "5", "--k-max", "100000000"], id="kcycles-k-max"),
+        pytest.param(
+            ["discrepancy", "--prime", "101", "--boxes", "100000000"], id="discrepancy-boxes"
+        ),
+    ],
+)
+def test_prime_above_table_limit_is_input_error(capsys, argv):
+    code = main(argv)
     captured = capsys.readouterr()
     assert code == 1
     assert captured.out == ""

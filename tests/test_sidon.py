@@ -11,7 +11,6 @@ from elgamalmap.sidon import (
     CharacterIndex,
     build_graph,
     character_sum,
-    difference_set_size,
     incomplete_exponential_sum_profile,
     incomplete_exponential_sum_total,
     max_nontrivial_character_sum,
@@ -80,18 +79,19 @@ def test_sidon_and_difference_size_against_oracle(p):
         graph = build_graph(GroupParams(p, g))
         counts = _brute_force_difference_counts(graph.points, p)
         assert max(counts.values()) == 1
-        assert verify_sidon(graph).ok
-        assert difference_set_size(graph) == len(counts) + 1  # plus zero
+        check = verify_sidon(graph)
+        assert check.ok
+        assert check.diff_set_size == len(counts) + 1  # plus zero
 
 
 def test_difference_set_size_examples():
-    assert difference_set_size(build_graph(GroupParams(5, 2))) == 13
-    assert difference_set_size(build_graph(GroupParams(3, 2))) == 3
+    assert verify_sidon(build_graph(GroupParams(5, 2))).diff_set_size == 13
+    assert verify_sidon(build_graph(GroupParams(3, 2))).diff_set_size == 3
 
 
 def test_difference_set_size_at_1009():
     graph = build_graph(GroupParams(1009, 11))
-    assert difference_set_size(graph) == 1008**2 - 1008 + 1 == 1015057
+    assert verify_sidon(graph).diff_set_size == 1008**2 - 1008 + 1 == 1015057
 
 
 @settings(max_examples=25, deadline=None)
@@ -100,15 +100,27 @@ def test_difference_set_size_at_1009():
     st.data(),
 )
 def test_random_point_sets_match_oracle(p, data):
-    """verify_sidon's verdict must agree with the brute-force count on
-    arbitrary synthetic sets."""
+    """verify_sidon's verdict, difference-set size and witness must agree
+    with the brute-force count on arbitrary synthetic sets."""
     d = p - 1
     coords = st.tuples(st.integers(0, p - 1), st.integers(0, d - 1))
-    points = data.draw(st.lists(coords, min_size=2, max_size=8, unique=True))
+    points = data.draw(st.lists(coords, min_size=2, max_size=16, unique=True))
     graph = point_set(p, points)
     counts = _brute_force_difference_counts(points, p)
-    assert verify_sidon(graph).ok == (max(counts.values()) <= 1)
-    assert difference_set_size(graph) == len(counts) + 1
+    check = verify_sidon(graph)
+    assert check.ok == (max(counts.values()) <= 1)
+    assert check.diff_set_size == len(counts) + 1
+    if check.ok:
+        assert check.witness is None
+        return
+    smallest = min(diff for diff, count in counts.items() if count > 1)
+    pairs = [
+        (a, b)
+        for a in points
+        for b in points
+        if ((a[0] - b[0]) % p, (a[1] - b[1]) % d) == smallest
+    ]
+    assert check.witness == (pairs[0], pairs[1])
 
 
 def test_character_sum_trivial_is_size():
