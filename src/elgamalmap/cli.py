@@ -15,7 +15,7 @@ import argparse
 import json
 import sys
 from collections import Counter
-from math import gcd
+from math import gcd, isqrt
 
 import numpy as np
 
@@ -31,6 +31,7 @@ from .numth import (
 )
 from .permstat import (
     cycle_decompose,
+    expected_k_cycles,
     family_statistics,
     fixed_point_sweep,
     random_permutation,
@@ -78,11 +79,11 @@ def _require_dense(cells: int, what: str) -> None:
         raise InputError(f"{what} needs {cells} cells, above the supported maximum {MAX_DENSE_CELLS}")
 
 
-def _resolve_generators(p: int, selection: str) -> list[int]:
+def _resolve_generators(p: int, selection: str) -> list[GroupParams]:
     if selection == "smallest":
-        return [smallest_generator(p).g]
+        return [smallest_generator(p)]
     if selection == "all":
-        return all_generators(p)
+        return [GroupParams(p, g) for g in all_generators(p)]
     try:
         g = int(selection)
     except ValueError:
@@ -90,13 +91,12 @@ def _resolve_generators(p: int, selection: str) -> list[int]:
             f"--generator must be an integer, 'smallest', or 'all', got {selection!r}"
         ) from None
     try:
-        GroupParams(p, g)
+        return [GroupParams(p, g)]
     except ValueError as exc:
         raise InputError(str(exc)) from None
-    return [g]
 
 
-def _resolve_single_generator(p: int, selection: str) -> int:
+def _resolve_single_generator(p: int, selection: str) -> GroupParams:
     if selection == "all":
         raise InputError("this subcommand needs a single generator, not 'all'")
     return _resolve_generators(p, selection)[0]
@@ -135,11 +135,11 @@ def _emit(text: str, out_path: str | None) -> None:
 def _cmd_cycles(args) -> bool:
     p = _require_odd_prime(args.prime)
     rows = []
-    for g in _resolve_generators(p, args.generator):
-        structure = cycle_decompose(elgamal_permutation(GroupParams(p, g)))
+    for params in _resolve_generators(p, args.generator):
+        structure = cycle_decompose(elgamal_permutation(params))
         multiplicity = Counter(structure.cycle_lengths)
         rows.extend(
-            (g, length, multiplicity[length])
+            (params.g, length, multiplicity[length])
             for length in sorted(multiplicity, reverse=True)
         )
     _emit(_table(["generator", "cycle_length", "multiplicity"], rows, args.format), args.out)
@@ -183,15 +183,15 @@ def _cmd_kcycles(args) -> bool:
     _require_count(args.k_max, "--k-max", 1, MAX_TABLE_MODULUS)
     stats = family_statistics(p, all_generators(p), k_max=args.k_max)
     rows = [
-        (k, 1.0 / k, stats.avg_k_cycles[k - 1]) for k in range(1, args.k_max + 1)
+        (k, expected_k_cycles(k), stats.avg_k_cycles[k - 1]) for k in range(1, args.k_max + 1)
     ]
     _emit(_table(["k", "theory", "empirical_average"], rows, args.format), args.out)
     return True
 
 
 def _cmd_fixed_points(args) -> bool:
-    if args.max_prime < 2:
-        raise InputError(f"--max-prime must be >= 2, got {args.max_prime}")
+    # at its largest p the sweep reads phi(p-1) tables of p-1 entries
+    _require_count(args.max_prime, "--max-prime", 2, isqrt(MAX_DENSE_CELLS))
     rows = [(p, avg) for p, avg in fixed_point_sweep(args.max_prime)]
     _emit(_table(["p", "avg_fixed_points"], rows, args.format), args.out)
     return True
@@ -203,13 +203,13 @@ def _cmd_sidon(args) -> bool:
     expected = (p - 1) ** 2 - (p - 1) + 1
     results = []
     all_ok = True
-    for g in _resolve_generators(p, args.generator):
-        check = verify_sidon(build_graph(GroupParams(p, g)))
+    for params in _resolve_generators(p, args.generator):
+        check = verify_sidon(build_graph(params))
         ok = check.ok and check.diff_set_size == expected
         all_ok &= ok
         results.append(
             {
-                "generator": g,
+                "generator": params.g,
                 "ok": ok,
                 "diff_set_size": check.diff_set_size,
                 "expected_diff_set_size": expected,
@@ -225,13 +225,13 @@ def _cmd_char_sums(args) -> bool:
     bound = sidon_character_bound(p)
     results = []
     all_ok = True
-    for g in _resolve_generators(p, args.generator):
-        value, chi = max_nontrivial_character_sum(build_graph(GroupParams(p, g)))
+    for params in _resolve_generators(p, args.generator):
+        value, chi = max_nontrivial_character_sum(build_graph(params))
         ok = value < bound
         all_ok &= ok
         results.append(
             {
-                "generator": g,
+                "generator": params.g,
                 "max_sum": value,
                 "bound": bound,
                 "argmax_s": chi.s,
@@ -270,8 +270,8 @@ def _cmd_polya(args) -> bool:
 def _cmd_discrepancy(args) -> bool:
     p = _require_odd_prime(args.prime)
     _require_count(args.boxes, "--boxes", 0, MAX_TABLE_MODULUS)
-    g = _resolve_single_generator(p, args.generator)
-    report = sweep(build_graph(GroupParams(p, g)), args.boxes, args.seed)
+    params = _resolve_single_generator(p, args.generator)
+    report = sweep(build_graph(params), args.boxes, args.seed)
     bound = theorem_bound(p)
     ok = report.max_deviation <= bound
     if args.out:
@@ -292,7 +292,7 @@ def _cmd_discrepancy(args) -> bool:
         _json(
             {
                 "p": p,
-                "generator": g,
+                "generator": params.g,
                 "seed": args.seed,
                 "num_boxes": len(report.records),
                 "max_deviation": report.max_deviation,
@@ -308,8 +308,8 @@ def _cmd_discrepancy(args) -> bool:
 
 def _cmd_render_cycles(args) -> bool:
     p = _require_odd_prime(args.prime)
-    g = _resolve_single_generator(p, args.generator)
-    structure = cycle_decompose(elgamal_permutation(GroupParams(p, g)))
+    params = _resolve_single_generator(p, args.generator)
+    structure = cycle_decompose(elgamal_permutation(params))
     _emit(cycle_diagram_svg(structure), args.out)
     return True
 
@@ -356,68 +356,56 @@ def _seed(text: str) -> int:
     return seed
 
 
+def _flag(name: str, **options) -> tuple[str, dict]:
+    return name, options
+
+
+_PRIME = _flag("--prime", type=int, required=True)
+_FORMAT = _flag("--format", choices=("csv", "json"), default="csv")
+_SEED = _flag("--seed", type=_seed, default=DEFAULT_SEED)
+_GENERATOR_OR_ALL = _flag("--generator", default="smallest", help="an integer, 'smallest', or 'all'")
+_GENERATOR = _flag("--generator", default="smallest", help="an integer or 'smallest'")
+
+# (name, handler, help, flags after --out): the one declaration of each subcommand
+_SUBCOMMANDS = (
+    ("cycles", _cmd_cycles, "cycle lengths of x -> g**x, per generator",
+     (_PRIME, _GENERATOR_OR_ALL, _FORMAT)),
+    ("cycle-dist", _cmd_cycle_dist, "cycle-count distribution vs exact theory", (_PRIME, _FORMAT)),
+    ("random-baseline", _cmd_random_baseline,
+     "cycle-count distribution of seeded uniform permutations",
+     (_flag("--degree", type=int, required=True), _flag("--samples", type=int, required=True),
+      _SEED, _FORMAT)),
+    ("kcycles", _cmd_kcycles, "average k-cycle counts vs the 1/k law",
+     (_PRIME, _flag("--k-max", dest="k_max", type=int, default=DIST_MAX_CYCLES), _FORMAT)),
+    ("fixed-points", _cmd_fixed_points, "average fixed points per prime, all generators",
+     (_flag("--max-prime", dest="max_prime", type=int, required=True), _FORMAT)),
+    ("sidon", _cmd_sidon, "difference-uniqueness check and difference-set size",
+     (_PRIME, _GENERATOR_OR_ALL)),
+    ("char-sums", _cmd_char_sums, "largest nontrivial character sum vs sqrt(3(p-1))",
+     (_PRIME, _GENERATOR_OR_ALL)),
+    ("polya", _cmd_polya, "incomplete exponential sum total vs 5n ln n",
+     (_flag("--n", type=int, required=True, help="modulus"),
+      _flag("--window", type=int, required=True, help="window length N, 1 <= N < n"),
+      _flag("--shift", type=int, default=0, help="window start h"))),
+    ("discrepancy", _cmd_discrepancy, "box deviations vs 50 sqrt(p) ln(p)^2",
+     (_PRIME, _GENERATOR, _flag("--boxes", type=int, default=0, help="number of random boxes"),
+      _SEED)),
+    ("render-cycles", _cmd_render_cycles, "SVG cycle diagram, one circle per cycle",
+     (_PRIME, _GENERATOR)),
+    ("sign-demo", _cmd_sign_demo, "seeded sign/verify round trip",
+     (_PRIME, _SEED, _flag("--tamper", action="store_true", help="verify against m+1 instead of m"))),
+)
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="elgamalmap", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="subcommand", required=True, parser_class=_Parser)
-
-    def add(name: str, handler, help_text: str):
+    for name, handler, help_text, flags in _SUBCOMMANDS:
         p = sub.add_parser(name, help=help_text)
         p.set_defaults(handler=handler)
         p.add_argument("--out", metavar="PATH", default=None, help="write output here instead of stdout")
-        return p
-
-    p = add("cycles", _cmd_cycles, "cycle lengths of x -> g**x, per generator")
-    p.add_argument("--prime", type=int, required=True)
-    p.add_argument("--generator", default="smallest", help="an integer, 'smallest', or 'all'")
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
-
-    p = add("cycle-dist", _cmd_cycle_dist, "cycle-count distribution vs exact theory")
-    p.add_argument("--prime", type=int, required=True)
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
-
-    p = add("random-baseline", _cmd_random_baseline, "cycle-count distribution of seeded uniform permutations")
-    p.add_argument("--degree", type=int, required=True)
-    p.add_argument("--samples", type=int, required=True)
-    p.add_argument("--seed", type=_seed, default=DEFAULT_SEED)
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
-
-    p = add("kcycles", _cmd_kcycles, "average k-cycle counts vs the 1/k law")
-    p.add_argument("--prime", type=int, required=True)
-    p.add_argument("--k-max", dest="k_max", type=int, default=DIST_MAX_CYCLES)
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
-
-    p = add("fixed-points", _cmd_fixed_points, "average fixed points per prime, all generators")
-    p.add_argument("--max-prime", dest="max_prime", type=int, required=True)
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
-
-    p = add("sidon", _cmd_sidon, "difference-uniqueness check and difference-set size")
-    p.add_argument("--prime", type=int, required=True)
-    p.add_argument("--generator", default="smallest", help="an integer, 'smallest', or 'all'")
-
-    p = add("char-sums", _cmd_char_sums, "largest nontrivial character sum vs sqrt(3(p-1))")
-    p.add_argument("--prime", type=int, required=True)
-    p.add_argument("--generator", default="smallest", help="an integer, 'smallest', or 'all'")
-
-    p = add("polya", _cmd_polya, "incomplete exponential sum total vs 5n ln n")
-    p.add_argument("--n", type=int, required=True, help="modulus")
-    p.add_argument("--window", type=int, required=True, help="window length N, 1 <= N < n")
-    p.add_argument("--shift", type=int, default=0, help="window start h")
-
-    p = add("discrepancy", _cmd_discrepancy, "box deviations vs 50 sqrt(p) ln(p)^2")
-    p.add_argument("--prime", type=int, required=True)
-    p.add_argument("--generator", default="smallest", help="an integer or 'smallest'")
-    p.add_argument("--boxes", type=int, default=0, help="number of random boxes")
-    p.add_argument("--seed", type=_seed, default=DEFAULT_SEED)
-
-    p = add("render-cycles", _cmd_render_cycles, "SVG cycle diagram, one circle per cycle")
-    p.add_argument("--prime", type=int, required=True)
-    p.add_argument("--generator", default="smallest", help="an integer or 'smallest'")
-
-    p = add("sign-demo", _cmd_sign_demo, "seeded sign/verify round trip")
-    p.add_argument("--prime", type=int, required=True)
-    p.add_argument("--seed", type=_seed, default=DEFAULT_SEED)
-    p.add_argument("--tamper", action="store_true", help="verify against m+1 instead of m")
-
+        for flag, options in flags:
+            p.add_argument(flag, **options)
     return parser
 
 
@@ -427,10 +415,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.subcommand == "render-cycles" and not args.out:
             raise InputError("render-cycles requires --out PATH for the SVG file")
         ok = args.handler(args)
-    except InputError as exc:
-        print(f"elgamalmap: error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (InputError, OSError) as exc:
         print(f"elgamalmap: error: {exc}", file=sys.stderr)
         return 1
     return 0 if ok else 2

@@ -216,7 +216,7 @@ def incomplete_exponential_sum_total(n: int, N: int, h: int) -> float:
     _check_window(n, N)
     w = _roots_of_unity(n)
     a = np.arange(n, dtype=np.int64)
-    x = (h + np.arange(N, dtype=np.int64)) % n
+    x = (h % n + np.arange(N, dtype=np.int64)) % n
     inner = w[(a[:, None] * x[None, :]) % n].sum(axis=1)
     return float(np.abs(inner).sum())
 
@@ -231,7 +231,7 @@ def incomplete_exponential_sum_profile(n: int, h: int) -> np.ndarray:
     _check_window(n, 1)
     w = _roots_of_unity(n)
     a = np.arange(n, dtype=np.int64)
-    x = (h + np.arange(n - 1, dtype=np.int64)) % n
+    x = (h % n + np.arange(n - 1, dtype=np.int64)) % n
     partial = np.cumsum(w[(a[:, None] * x[None, :]) % n], axis=1)
     return np.abs(partial).sum(axis=0)
 

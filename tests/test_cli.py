@@ -1,8 +1,13 @@
+import contextlib
+import io
 import json
 import xml.etree.ElementTree as ET
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from elgamalmap import cli
 from elgamalmap.cli import main
 
 
@@ -133,9 +138,12 @@ def test_polya_json(capsys):
 def test_polya_shift_matches(capsys):
     _, out0 = run(capsys, "polya", "--n", "4", "--window", "2", "--shift", "0")
     _, out9 = run(capsys, "polya", "--n", "4", "--window", "2", "--shift", "9")
+    # far outside int64: once numpy's OverflowError traceback
+    code, out_big = run(capsys, "polya", "--n", "4", "--window", "2", "--shift", str(10**20))
+    assert code == 0
     total0 = json.loads(out0)["total"]
-    total9 = json.loads(out9)["total"]
-    assert total9 == pytest.approx(total0, abs=1e-9)
+    assert json.loads(out9)["total"] == pytest.approx(total0, abs=1e-9)
+    assert json.loads(out_big)["total"] == pytest.approx(total0, abs=1e-9)
 
 
 def test_polya_bad_window_is_usage_error(capsys):
@@ -241,6 +249,9 @@ def test_composite_prime_is_input_error(capsys):
         pytest.param(
             ["discrepancy", "--prime", "101", "--boxes", "100000000"], id="discrepancy-boxes"
         ),
+        # the sweep's largest prime reads phi(p-1) tables of p-1 entries: once a hang
+        pytest.param(["fixed-points", "--max-prime", "100000000"], id="fixed-points-max-prime"),
+        pytest.param(["fixed-points", "--max-prime", "5793"], id="fixed-points-first-outside"),
     ],
 )
 def test_prime_above_table_limit_is_input_error(capsys, argv):
@@ -273,9 +284,14 @@ def test_negative_seed_is_usage_error(capsys, argv):
 
 
 def test_non_generator_is_input_error(capsys):
-    code = main(["cycles", "--prime", "7", "--generator", "2"])
-    capsys.readouterr()
-    assert code == 1
+    # 2 has order 3 mod 7; x is no integer; 0 and 7 lie outside [2, p-1]
+    for generator in ["2", "x", "0", "7"]:
+        code = main(["cycles", "--prime", "7", "--generator", generator])
+        captured = capsys.readouterr()
+        assert code == 1, generator
+        assert captured.out == ""
+        assert captured.err.startswith("elgamalmap: error: ")
+        assert captured.err.count("\n") == 1
 
 
 def test_runs_are_byte_identical(capsys):
@@ -303,3 +319,67 @@ def test_json_format_for_tables(capsys):
     doc = json.loads(out)
     assert doc["columns"] == ["k", "theory", "empirical_average"]
     assert len(doc["rows"]) == 2
+
+
+_JUNK = st.sampled_from(["x", "", "1.5", "0x10", "-", "smallest", "all"])
+# wide integers, with the int64 edges and beyond drawn often
+_WIDE = st.one_of(
+    st.integers(-(10**20), 10**20), st.sampled_from([-(10**20), -(2**63) - 1, 2**63, 10**20])
+)
+# flags that size an allocation or a loop stay small; all others range widely
+_SIZE_RANGES = {
+    "--prime": (-3, 101), "--n": (-3, 101), "--degree": (-3, 101), "--max-prime": (-3, 101),
+    "--window": (-3, 50), "--samples": (-3, 50), "--k-max": (-3, 50), "--boxes": (-3, 50),
+}
+_TMP = "{tmp}"  # stands for the test's temp dir in drawn --out paths
+
+
+def _flag_value(name):
+    if name in _SIZE_RANGES:
+        return st.integers(*_SIZE_RANGES[name]).map(str)
+    if name == "--format":
+        return st.sampled_from(["csv", "json", "xml"])
+    if name == "--generator":
+        return st.one_of(st.integers(-3, 110), _WIDE).map(str) | st.sampled_from(["smallest", "all"])
+    return _WIDE.map(str)  # --shift, --seed
+
+
+@st.composite
+def _argv(draw):
+    """A subcommand from the CLI's own table, with a draw of its flags."""
+    name, _, _, flags = draw(st.sampled_from(cli._SUBCOMMANDS))
+    argv = [name]
+    if draw(st.booleans()):
+        argv += ["--out", draw(st.sampled_from([f"{_TMP}/out.txt", f"{_TMP}/missing/out.txt"]))]
+    values = []
+    for flag, options in flags:
+        if not (options.get("required") or draw(st.booleans())):
+            continue
+        argv.append(flag)
+        if options.get("action") != "store_true":
+            values.append(len(argv))
+            argv.append(draw(_flag_value(flag)))
+    if values and draw(st.integers(0, 3)) == 0:  # one non-numeric token
+        argv[draw(st.sampled_from(values))] = draw(_JUNK)
+    return argv
+
+
+@settings(max_examples=500, deadline=None)
+@given(argv=_argv())
+@example(argv=["polya", "--n", "4", "--window", "2", "--shift", str(10**20)])
+def test_main_fuzz(tmp_path_factory, argv):
+    """Every argv exits 0, 1 or 2 without a traceback; an input error is one line."""
+    out_dir = tmp_path_factory.getbasetemp() / "fuzz"
+    out_dir.mkdir(exist_ok=True)
+    argv = [token.replace(_TMP, str(out_dir)) for token in argv]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code, exited = main(argv), False
+        except SystemExit as exc:
+            code, exited = exc.code, True
+    assert code in (0, 1, 2), argv
+    assert "Traceback" not in err.getvalue()
+    if code == 1 and not exited:
+        assert err.getvalue().startswith("elgamalmap: error: ")
+        assert err.getvalue().count("\n") == 1

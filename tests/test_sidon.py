@@ -214,6 +214,14 @@ def test_incomplete_sum_examples():
     assert incomplete_exponential_sum_total(4, 2, 9) == pytest.approx(
         2 + 2 * math.sqrt(2), abs=1e-12
     )
+    # shifts far outside int64 reduce mod n first
+    for h, reduced in [(10**20 + 1, 1), (-(10**20), 0)]:
+        assert incomplete_exponential_sum_total(4, 2, h) == incomplete_exponential_sum_total(
+            4, 2, reduced
+        )
+        assert np.array_equal(
+            incomplete_exponential_sum_profile(4, h), incomplete_exponential_sum_profile(4, reduced)
+        )
 
 
 def test_incomplete_sum_rejects_bad_window():
