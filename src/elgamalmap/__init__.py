@@ -33,6 +33,7 @@ from .permstat import (
     cycle_decompose,
     expected_cycles,
     expected_k_cycles,
+    family_cycle_lengths,
     family_statistics,
     fixed_point_sweep,
     random_permutation,

@@ -12,7 +12,10 @@ exponential-sum bound, box-deviation bound, or signature verification).
 from __future__ import annotations
 
 import argparse
+import errno
 import json
+import os
+import stat
 import sys
 from collections import Counter
 from math import gcd, isqrt
@@ -32,6 +35,7 @@ from .numth import (
 from .permstat import (
     cycle_decompose,
     expected_k_cycles,
+    family_cycle_lengths,
     family_statistics,
     fixed_point_sweep,
     random_permutation,
@@ -134,13 +138,15 @@ def _emit(text: str, out_path: str | None) -> None:
 
 def _cmd_cycles(args) -> bool:
     p = _require_odd_prime(args.prime)
+    if args.generator == "all":
+        generators = all_generators(p)
+    else:
+        generators = [_resolve_single_generator(p, args.generator).g]
     rows = []
-    for params in _resolve_generators(p, args.generator):
-        structure = cycle_decompose(elgamal_permutation(params))
-        multiplicity = Counter(structure.cycle_lengths)
+    for g, lengths in family_cycle_lengths(p, generators):
+        multiplicity = Counter(lengths.tolist())
         rows.extend(
-            (params.g, length, multiplicity[length])
-            for length in sorted(multiplicity, reverse=True)
+            (g, length, multiplicity[length]) for length in sorted(multiplicity, reverse=True)
         )
     _emit(_table(["generator", "cycle_length", "multiplicity"], rows, args.format), args.out)
     return True
@@ -190,7 +196,8 @@ def _cmd_kcycles(args) -> bool:
 
 
 def _cmd_fixed_points(args) -> bool:
-    # at its largest p the sweep reads phi(p-1) tables of p-1 entries
+    # the sweep reads p-1 residues for every prime p <= --max-prime, fewer
+    # than max_prime**2 cells in all, so this cap keeps them in the dense envelope
     _require_count(args.max_prime, "--max-prime", 2, isqrt(MAX_DENSE_CELLS))
     rows = [(p, avg) for p, avg in fixed_point_sweep(args.max_prime)]
     _emit(_table(["p", "avg_fixed_points"], rows, args.format), args.out)
@@ -409,11 +416,26 @@ def _build_parser() -> _Parser:
     return parser
 
 
+def _check_out_path(path: str) -> None:
+    """Raise the OSError that opening `path` for writing would raise for a
+    missing or non-directory parent or for a directory, creating nothing."""
+    if os.path.isdir(path):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+    try:
+        parent_mode = os.stat(os.path.dirname(path) or ".").st_mode
+    except OSError as exc:
+        raise type(exc)(exc.errno, exc.strerror, path) from None
+    if not stat.S_ISDIR(parent_mode):
+        raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), path)
+
+
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         if args.subcommand == "render-cycles" and not args.out:
             raise InputError("render-cycles requires --out PATH for the SVG file")
+        if args.out:  # fail before the computation, not after it
+            _check_out_path(args.out)
         ok = args.handler(args)
     except (InputError, OSError) as exc:
         print(f"elgamalmap: error: {exc}", file=sys.stderr)

@@ -383,3 +383,23 @@ def test_main_fuzz(tmp_path_factory, argv):
     if code == 1 and not exited:
         assert err.getvalue().startswith("elgamalmap: error: ")
         assert err.getvalue().count("\n") == 1
+
+
+@pytest.mark.parametrize("target", ["missing/x.csv", "."])
+def test_unwritable_out_fails_before_computing(target, tmp_path, monkeypatch, capsys):
+    """An --out path that cannot be opened is reported before the kernel runs."""
+
+    def kernel_must_not_run(*args, **kwargs):
+        raise AssertionError("the sweep ran before --out was checked")
+
+    monkeypatch.setattr(cli, "sweep", kernel_must_not_run)
+    out = str(tmp_path / target)
+    before = sorted(tmp_path.rglob("*"))
+    code = cli.main(["discrepancy", "--prime", "101", "--boxes", "20", "--out", out])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    with pytest.raises(OSError) as opened:
+        open(out, "w")
+    assert captured.err == f"elgamalmap: error: {opened.value}\n"
+    assert sorted(tmp_path.rglob("*")) == before

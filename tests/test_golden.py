@@ -45,6 +45,10 @@ def _cases() -> dict[str, list[str]]:
         }.items():
             cases[f"{name}_p{p}"] = argv
     cases["cycles_p1009"] = ["cycles", "--prime", "1009"]
+    cases["cycles_all_p1009"] = ["cycles", "--prime", "1009", "--generator", "all"]
+    cases["cycle-dist_p1009"] = ["cycle-dist", "--prime", "1009"]
+    cases["kcycles_p1009"] = ["kcycles", "--prime", "1009"]
+    cases["fixed-points_p1009"] = ["fixed-points", "--max-prime", "1009"]
     cases["sidon_p1009"] = ["sidon", "--prime", "1009"]
     cases["discrepancy_p1009"] = [
         "discrepancy", "--prime", "1009", "--boxes", "50", "--out", f"{OUT}.csv",

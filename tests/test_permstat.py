@@ -3,23 +3,74 @@ from math import factorial
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from elgamalmap.elgamal import Permutation, elgamal_permutation
 from elgamalmap.numth import GroupParams, all_generators
 from elgamalmap.permstat import (
     CycleStructure,
+    _cycle_lengths,
     count_cycles,
     count_k_cycles,
     cycle_decompose,
     expected_cycles,
     expected_k_cycles,
+    family_cycle_lengths,
     family_statistics,
     fixed_point_sweep,
     random_permutation,
     stirling_cycle_distribution,
 )
+
+
+def _orbit_walk_lengths(image) -> list[int]:
+    """Oracle: cycle lengths by walking each orbit from its least element."""
+    n = len(image)
+    seen = bytearray(n + 1)
+    lengths = []
+    for start in range(1, n + 1):
+        if seen[start]:
+            continue
+        length = 0
+        x = start
+        while not seen[x]:
+            seen[x] = 1
+            x = image[x - 1]
+            length += 1
+        lengths.append(length)
+    return lengths
+
+
+@settings(max_examples=100)
+@example(1, 0, 0)
+@given(
+    st.integers(min_value=1, max_value=300),
+    st.integers(min_value=0, max_value=6),
+    st.integers(min_value=0, max_value=2**63 - 1),
+)
+def test_cycle_lengths_matches_orbit_walk(n, random_rows, seed):
+    rng = np.random.default_rng(seed)
+    identity = np.arange(1, n + 1)
+    n_cycle = np.roll(identity, -1)  # x -> x+1, n -> 1
+    images = np.stack([identity, n_cycle] + [rng.permutation(n) + 1 for _ in range(random_rows)])
+    rows, lengths = _cycle_lengths(images)
+    assert rows.tolist() == sorted(rows.tolist())
+    for r, image in enumerate(images.tolist()):
+        assert lengths[rows == r].tolist() == _orbit_walk_lengths(image)
+
+
+@pytest.mark.parametrize("n", [1, 2, 7])
+def test_cycle_lengths_rejects_non_bijections(n):
+    good = np.arange(1, n + 1)
+    bad_rows = [np.full(n, n + 1), np.zeros(n, dtype=np.int64)]
+    if n > 1:
+        bad_rows.append(np.r_[good[:-1], 1])  # 1 repeated, n missing
+    for bad in bad_rows:
+        with pytest.raises(ValueError):
+            _cycle_lengths(bad.reshape(1, n))
+        with pytest.raises(ValueError):
+            _cycle_lengths(np.stack([good, bad, good]))
 
 
 def test_cycle_decompose_examples():
@@ -86,16 +137,7 @@ def _enumerated_cycle_distribution(n):
     """Ground truth by walking all n! permutations."""
     counts = [0] * (n + 1)
     for image in itertools.permutations(range(1, n + 1)):
-        seen = [False] * (n + 1)
-        c = 0
-        for start in range(1, n + 1):
-            if not seen[start]:
-                c += 1
-                x = start
-                while not seen[x]:
-                    seen[x] = True
-                    x = image[x - 1]
-        counts[c] += 1
+        counts[len(_orbit_walk_lengths(image))] += 1
     return [v / factorial(n) for v in counts]
 
 
@@ -173,8 +215,38 @@ def test_family_statistics_is_deterministic():
 def test_family_statistics_rejects_bad_input():
     with pytest.raises(ValueError):
         family_statistics(5, [], k_max=3)
-    with pytest.raises(ValueError):
-        family_statistics(5, [4], k_max=3)  # 4 has order 2 mod 5
+    for g in (4, 1, 0, 5, -1):
+        message = "does not generate" if g == 4 else "must lie in"  # 4 has order 2 mod 5
+        with pytest.raises(ValueError, match=message):
+            family_statistics(5, [g], k_max=3)
+        with pytest.raises(ValueError, match=message):
+            family_statistics(5, [2, g, 3], k_max=3)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 13, 61, 101, 1009])
+def test_family_cycle_lengths_matches_orbit_walk(p):
+    """Every generator, relabeled from g0's table in blocks (18 of them at
+    p = 1009), against the orbit walk on its own permutation."""
+    generators = all_generators(p)
+    family = family_cycle_lengths(p, generators)
+    assert [g for g, _ in family] == generators
+    for g, lengths in family:
+        image = elgamal_permutation(GroupParams(p, g)).image
+        assert lengths.tolist() == _orbit_walk_lengths(image)
+
+
+def test_fixed_point_sweep_matches_brute_force():
+    """Count image[x-1] == x over every generator's permutation."""
+    expected = [(2, 1.0)]
+    for p in range(3, 212):
+        if all(p % q for q in range(2, p)):
+            generators = all_generators(p)
+            total = 0
+            for g in generators:
+                image = elgamal_permutation(GroupParams(p, g)).image
+                total += sum(image[x - 1] == x for x in range(1, p))
+            expected.append((p, total / len(generators)))
+    assert fixed_point_sweep(211) == expected
 
 
 def test_fixed_point_sweep_small_values():
