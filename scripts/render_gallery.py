@@ -7,7 +7,7 @@ from __future__ import annotations
 import argparse
 from pathlib import Path
 
-from elgamalmap import GroupParams, all_generators, cycle_decompose, elgamal_permutation
+from elgamalmap import all_generators, family_cycle_lengths
 from elgamalmap.render import cycle_diagram_svg
 
 
@@ -19,11 +19,11 @@ def main() -> None:
     args = parser.parse_args()
 
     args.outdir.mkdir(parents=True, exist_ok=True)
-    for g in all_generators(args.prime)[: args.count]:
-        structure = cycle_decompose(elgamal_permutation(GroupParams(args.prime, g)))
+    generators = all_generators(args.prime)[: args.count]
+    for g, lengths in family_cycle_lengths(args.prime, generators):
         path = args.outdir / f"cycles_p{args.prime}_g{g}.svg"
-        path.write_text(cycle_diagram_svg(structure), encoding="utf-8")
-        print(f"wrote {path} ({len(structure.cycle_lengths)} cycles)")
+        path.write_text(cycle_diagram_svg(lengths.tolist()), encoding="utf-8")
+        print(f"wrote {path} ({len(lengths)} cycles)")
 
 
 if __name__ == "__main__":

@@ -19,6 +19,7 @@ from .numth import (
     all_generators,
     euler_phi,
     factorize,
+    generator_count,
     is_prime,
     mod_inverse,
     mod_pow,
@@ -26,16 +27,13 @@ from .numth import (
 )
 from .permstat import (
     CycleCountDistribution,
-    CycleStructure,
     FamilyStatistics,
-    count_cycles,
-    count_k_cycles,
-    cycle_decompose,
     expected_cycles,
     expected_k_cycles,
     family_cycle_lengths,
     family_statistics,
     fixed_point_sweep,
+    random_cycle_counts,
     random_permutation,
     stirling_cycle_distribution,
 )

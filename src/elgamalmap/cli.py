@@ -23,22 +23,23 @@ from math import gcd, isqrt
 import numpy as np
 
 from .discrepancy import sweep, theorem_bound
-from .elgamal import elgamal_permutation, sign, verify
+from .elgamal import sign, verify
 from .numth import (
     MAX_TABLE_MODULUS,
     GroupParams,
     all_generators,
+    generator_count,
     is_prime,
     mod_pow,
     smallest_generator,
 )
 from .permstat import (
-    cycle_decompose,
+    MAX_FAMILY_CELLS,
     expected_k_cycles,
     family_cycle_lengths,
     family_statistics,
     fixed_point_sweep,
-    random_permutation,
+    random_cycle_counts,
     stirling_cycle_distribution,
 )
 from .render import cycle_diagram_svg
@@ -77,10 +78,15 @@ def _require_count(value: int, flag: str, low: int, high: int) -> None:
         raise InputError(f"{flag} {value} is above the supported maximum {high}")
 
 
-def _require_dense(cells: int, what: str) -> None:
-    """Reject an input whose dense array would exceed MAX_DENSE_CELLS, before it is built."""
-    if cells > MAX_DENSE_CELLS:
-        raise InputError(f"{what} needs {cells} cells, above the supported maximum {MAX_DENSE_CELLS}")
+def _require_dense(cells: int, what: str, limit: int = MAX_DENSE_CELLS) -> None:
+    """Reject an input whose arrays would exceed `limit` cells, before any is built."""
+    if cells > limit:
+        raise InputError(f"{what} needs {cells} cells, above the supported maximum {limit}")
+
+
+def _require_family(p: int) -> None:
+    """Reject a whole-family cycle run over phi(p-1) tables of p-1 cells above MAX_FAMILY_CELLS."""
+    _require_dense(generator_count(p) * (p - 1), f"--prime {p} with all generators", MAX_FAMILY_CELLS)
 
 
 def _resolve_generators(p: int, selection: str) -> list[GroupParams]:
@@ -139,6 +145,7 @@ def _emit(text: str, out_path: str | None) -> None:
 def _cmd_cycles(args) -> bool:
     p = _require_odd_prime(args.prime)
     if args.generator == "all":
+        _require_family(p)
         generators = all_generators(p)
     else:
         generators = [_resolve_single_generator(p, args.generator).g]
@@ -165,6 +172,7 @@ def _cycle_count_table(n: int, counts: list[int]) -> list[tuple]:
 
 def _cmd_cycle_dist(args) -> bool:
     p = _require_odd_prime(args.prime)
+    _require_family(p)
     stats = family_statistics(p, all_generators(p), k_max=1)
     rows = _cycle_count_table(p - 1, list(stats.cycle_counts))
     _emit(_table(["c", "theory_percent", "elgamal_percent"], rows, args.format), args.out)
@@ -175,10 +183,7 @@ def _cmd_random_baseline(args) -> bool:
     _require_count(args.degree, "--degree", 1, MAX_TABLE_MODULUS)
     _require_count(args.samples, "--samples", 1, MAX_DENSE_CELLS)
     _require_dense(args.degree * args.samples, f"--degree {args.degree} --samples {args.samples}")
-    counts = [
-        len(cycle_decompose(random_permutation(args.degree, args.seed + i)).cycle_lengths)
-        for i in range(args.samples)
-    ]
+    counts = random_cycle_counts(args.degree, args.samples, args.seed)
     rows = _cycle_count_table(args.degree, counts)
     _emit(_table(["c", "theory_percent", "random_percent"], rows, args.format), args.out)
     return True
@@ -187,6 +192,7 @@ def _cmd_random_baseline(args) -> bool:
 def _cmd_kcycles(args) -> bool:
     p = _require_odd_prime(args.prime)
     _require_count(args.k_max, "--k-max", 1, MAX_TABLE_MODULUS)
+    _require_family(p)
     stats = family_statistics(p, all_generators(p), k_max=args.k_max)
     rows = [
         (k, expected_k_cycles(k), stats.avg_k_cycles[k - 1]) for k in range(1, args.k_max + 1)
@@ -315,9 +321,9 @@ def _cmd_discrepancy(args) -> bool:
 
 def _cmd_render_cycles(args) -> bool:
     p = _require_odd_prime(args.prime)
-    params = _resolve_single_generator(p, args.generator)
-    structure = cycle_decompose(elgamal_permutation(params))
-    _emit(cycle_diagram_svg(structure), args.out)
+    g = _resolve_single_generator(p, args.generator).g
+    [(_, lengths)] = family_cycle_lengths(p, [g])
+    _emit(cycle_diagram_svg(lengths.tolist()), args.out)
     return True
 
 

@@ -12,6 +12,7 @@ deterministic Miller-Rabin base set are entirely adequate.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 from math import gcd
 
 import numpy as np
@@ -26,6 +27,7 @@ __all__ = [
     "mod_inverse",
     "smallest_generator",
     "all_generators",
+    "generator_count",
     "MAX_TABLE_MODULUS",
     "power_table",
 ]
@@ -138,6 +140,13 @@ def factorize(n: int) -> FactoredInteger:
     return FactoredInteger(value, tuple(factors))
 
 
+@cache
+def _factorization(n: int) -> FactoredInteger:
+    """factorize(n), computed once per n: the group order p-1 is read by
+    smallest_generator, by every GroupParams of p and by generator_count."""
+    return factorize(n)
+
+
 def euler_phi(n: FactoredInteger) -> int:
     """Euler's totient from a factorization: n * prod(1 - 1/p)."""
     phi = n.value
@@ -192,7 +201,7 @@ class GroupParams:
         if not 2 <= self.g <= self.p - 1:
             raise ValueError(f"g must lie in [2, p-1], got {self.g}")
         d = self.p - 1
-        if not _is_primitive_root(self.g, self.p, factorize(d).prime_divisors()):
+        if not _is_primitive_root(self.g, self.p, _factorization(d).prime_divisors()):
             raise ValueError(f"{self.g} does not generate the group mod {self.p}")
         object.__setattr__(self, "d", d)
 
@@ -210,7 +219,7 @@ def smallest_generator(p: int) -> GroupParams:
     """
     if p < 3 or not is_prime(p):
         raise ValueError(f"p must be an odd prime, got {p}")
-    divisors = factorize(p - 1).prime_divisors()
+    divisors = _factorization(p - 1).prime_divisors()
     g = 2
     while not _is_primitive_root(g, p, divisors):
         g += 1
@@ -226,6 +235,12 @@ def all_generators(p: int) -> list[int]:
     d = p - 1
     table = power_table(p, smallest_generator(p).g)
     return sorted(table[np.gcd(np.arange(d), d) == 1].tolist())
+
+
+def generator_count(p: int) -> int:
+    """phi(p-1), the number of primitive roots mod the odd prime p, without
+    listing them."""
+    return euler_phi(_factorization(p - 1))
 
 
 # Largest modulus power_table accepts.  Its table takes 8 bytes per entry

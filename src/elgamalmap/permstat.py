@@ -1,6 +1,11 @@
 """Cycle statistics of permutations and the exact random-permutation
 baseline they are compared against.
 
+Every cycle statistic comes from one kernel, `_cycle_lengths`, which
+decomposes a block of image tables at once; the generator family of a
+prime and the seeded random sample are both fed to it in blocks of at
+most `_BLOCK_CELLS` cells.
+
 The baseline facts: a uniform permutation of n elements has s(n,c)/n!
 probability of exactly c cycles (unsigned Stirling numbers of the first
 kind), H_n = 1 + 1/2 + ... + 1/n cycles on average, and 1/k cycles of
@@ -10,7 +15,7 @@ included for calibration runs.
 
 from __future__ import annotations
 
-from collections import Counter
+from collections.abc import Iterator
 from dataclasses import dataclass
 from math import gcd
 
@@ -20,40 +25,18 @@ from .elgamal import Permutation
 from .numth import power_table, smallest_generator
 
 __all__ = [
-    "CycleStructure",
     "CycleCountDistribution",
     "FamilyStatistics",
-    "cycle_decompose",
-    "count_cycles",
-    "count_k_cycles",
+    "MAX_FAMILY_CELLS",
     "stirling_cycle_distribution",
     "expected_cycles",
     "expected_k_cycles",
     "random_permutation",
+    "random_cycle_counts",
     "family_cycle_lengths",
     "family_statistics",
     "fixed_point_sweep",
 ]
-
-
-@dataclass(frozen=True)
-class CycleStructure:
-    """Multiset of cycle lengths of a permutation, stored descending.
-
-    The lengths always sum to the degree.
-    """
-
-    degree: int
-    cycle_lengths: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if any(k < 1 for k in self.cycle_lengths):
-            raise ValueError("cycle lengths must be >= 1")
-        if sum(self.cycle_lengths) != self.degree:
-            raise ValueError(
-                f"cycle lengths sum to {sum(self.cycle_lengths)}, "
-                f"expected degree {self.degree}"
-            )
 
 
 def _cycle_lengths(images: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -88,24 +71,6 @@ def _cycle_lengths(images: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         succ = succ.take(succ)
     roots = np.flatnonzero(label == np.arange(cells))
     return roots // n, np.bincount(label, minlength=cells)[roots]
-
-
-def cycle_decompose(perm: Permutation) -> CycleStructure:
-    """Cycle lengths of a permutation, by the batched kernel on one row."""
-    _, lengths = _cycle_lengths(np.asarray(perm.image).reshape(1, perm.n))
-    return CycleStructure(perm.n, tuple(sorted(lengths.tolist(), reverse=True)))
-
-
-def count_cycles(cs: CycleStructure) -> int:
-    """Total number of cycles."""
-    return len(cs.cycle_lengths)
-
-
-def count_k_cycles(cs: CycleStructure, k: int) -> int:
-    """Number of cycles of length exactly k."""
-    if k < 1:
-        raise ValueError(f"cycle length must be >= 1, got {k}")
-    return cs.cycle_lengths.count(k)
 
 
 @dataclass(frozen=True, eq=False)
@@ -179,10 +144,34 @@ def random_permutation(n: int, seed: int) -> Permutation:
     return Permutation(n, tuple(int(v) for v in image))
 
 
-# Cells (generators x degree) per block of the batched cycle kernel: 2**16
+# Cells (rows x degree) per block of the batched cycle kernel: 2**16
 # cells ran no faster and raised the peak RSS of `cycle-dist --prime 4001`
 # from 30.3 to 32.3 MB.
 _BLOCK_CELLS = 2**14
+
+# Largest phi(p-1) * (p-1) a whole-family cycle run accepts.  It admits
+# every prime up to 10007, whose 50,050,012 cells `cycle-dist` decomposes
+# in about 4.5 s on 2 shared cores.
+MAX_FAMILY_CELLS = 2**26
+
+
+def _row_blocks(m: int, n: int) -> Iterator[tuple[int, int]]:
+    """[start, stop) ranges covering m rows of n cells, each block at most
+    _BLOCK_CELLS cells and at least one row."""
+    step = max(1, _BLOCK_CELLS // n)
+    for start in range(0, m, step):
+        yield start, min(start + step, m)
+
+
+def random_cycle_counts(n: int, samples: int, seed: int) -> list[int]:
+    """Cycle counts of the uniform permutations random_permutation(n, seed + i)
+    for i = 0..samples-1, decomposed a block of samples at a time."""
+    counts: list[int] = []
+    for start, stop in _row_blocks(samples, n):
+        images = np.array([random_permutation(n, seed + i).image for i in range(start, stop)])
+        rows, _ = _cycle_lengths(images)
+        counts.extend(np.bincount(rows, minlength=stop - start).tolist())
+    return counts
 
 
 def _discrete_logs(p: int) -> tuple[np.ndarray, np.ndarray]:
@@ -221,13 +210,12 @@ def family_cycle_lengths(p: int, generators: list[int]) -> list[tuple[int, np.nd
         if gcd(j, d) != 1:
             raise ValueError(f"{g} does not generate the group mod {p}")
         exponents.append(j)
+    js = np.array(exponents, dtype=np.int64)
     xmod = np.arange(1, p, dtype=np.int64) % d  # exponent of x = p-1 wraps to 0
-    per_block = max(1, _BLOCK_CELLS // d)
     lengths: list[np.ndarray] = []
-    for start in range(0, len(exponents), per_block):
-        js = np.array(exponents[start : start + per_block], dtype=np.int64)
-        rows, block_lengths = _cycle_lengths(table[js[:, None] * xmod % d])
-        lengths.extend(np.split(block_lengths, np.searchsorted(rows, np.arange(1, len(js)))))
+    for start, stop in _row_blocks(len(js), d):
+        rows, block_lengths = _cycle_lengths(table[js[start:stop, None] * xmod % d])
+        lengths.extend(np.split(block_lengths, np.searchsorted(rows, np.arange(1, stop - start))))
     return list(zip(generators, lengths))
 
 
@@ -236,20 +224,14 @@ class FamilyStatistics:
     """Cycle statistics of the exponentiation permutations of one prime,
     over a family of generators.
 
-    cycle_counts[i] is the number of cycles for generators[i]; histogram
-    maps a cycle count c to how many generators produced it;
+    cycle_counts[i] is the number of cycles for generators[i];
     avg_k_cycles[k-1] is the mean number of k-cycles over the family.
     """
 
     p: int
     generators: tuple[int, ...]
     cycle_counts: tuple[int, ...]
-    histogram: dict[int, int]
     avg_k_cycles: tuple[float, ...]
-
-    @property
-    def mean_cycles(self) -> float:
-        return sum(self.cycle_counts) / len(self.cycle_counts)
 
 
 def family_statistics(p: int, generators: list[int], k_max: int) -> FamilyStatistics:
@@ -264,17 +246,13 @@ def family_statistics(p: int, generators: list[int], k_max: int) -> FamilyStatis
     if k_max < 1:
         raise ValueError(f"k_max must be >= 1, got {k_max}")
     family = family_cycle_lengths(p, generators)
-    cycle_counts = [len(lengths) for _, lengths in family]
     k_totals = np.bincount(np.concatenate([lengths for _, lengths in family]), minlength=k_max + 1)
     m = len(generators)
-    histogram = dict(sorted(Counter(cycle_counts).items()))
-    avg = tuple(int(k_totals[k]) / m for k in range(1, k_max + 1))
     return FamilyStatistics(
         p=p,
         generators=tuple(generators),
-        cycle_counts=tuple(cycle_counts),
-        histogram=histogram,
-        avg_k_cycles=avg,
+        cycle_counts=tuple(len(lengths) for _, lengths in family),
+        avg_k_cycles=tuple(int(k_totals[k]) / m for k in range(1, k_max + 1)),
     )
 
 

@@ -8,8 +8,7 @@ The layout is a deterministic aesthetic choice, not a data encoding.
 from __future__ import annotations
 
 import math
-
-from .permstat import CycleStructure
+from collections.abc import Iterable
 
 __all__ = ["cycle_diagram_svg"]
 
@@ -17,9 +16,10 @@ _RADIUS_PER_ELEMENT = 2.0
 _PAD = 6.0
 
 
-def cycle_diagram_svg(structure: CycleStructure) -> str:
-    """Render the cycle structure as an SVG 1.1 document string."""
-    radii = [_RADIUS_PER_ELEMENT * k for k in structure.cycle_lengths]
+def cycle_diagram_svg(cycle_lengths: Iterable[int]) -> str:
+    """Render a permutation's cycle lengths, in any order, as an SVG 1.1
+    document string."""
+    radii = [_RADIUS_PER_ELEMENT * k for k in sorted(cycle_lengths, reverse=True)]
     width = _canvas_width(radii)
 
     circles = []

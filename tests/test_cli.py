@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from elgamalmap import cli
 from elgamalmap.cli import main
+from elgamalmap.numth import is_prime
 
 
 def run(capsys, *argv):
@@ -252,6 +253,11 @@ def test_composite_prime_is_input_error(capsys):
         # the sweep's largest prime reads phi(p-1) tables of p-1 entries: once a hang
         pytest.param(["fixed-points", "--max-prime", "100000000"], id="fixed-points-max-prime"),
         pytest.param(["fixed-points", "--max-prime", "5793"], id="fixed-points-first-outside"),
+        # whole-family cycle runs above MAX_FAMILY_CELLS: once hours of work
+        pytest.param(["cycle-dist", "--prime", "999983"], id="cycle-dist-family"),
+        pytest.param(["cycles", "--prime", "999983", "--generator", "all"], id="cycles-all-family"),
+        pytest.param(["kcycles", "--prime", "999983"], id="kcycles-family"),
+        pytest.param(["cycle-dist", "--prime", "11633"], id="cycle-dist-first-outside"),
     ],
 )
 def test_prime_above_table_limit_is_input_error(capsys, argv):
@@ -261,6 +267,14 @@ def test_prime_above_table_limit_is_input_error(capsys, argv):
     assert captured.out == ""
     assert captured.err.startswith("elgamalmap: error: ")
     assert captured.err.count("\n") == 1
+
+
+def test_family_envelope_admits_every_prime_to_10007():
+    for p in range(3, 10008, 2):
+        if is_prime(p):
+            cli._require_family(p)
+    with pytest.raises(cli.InputError, match="11633 with all generators needs 67558656 cells"):
+        cli._require_family(11633)
 
 
 @pytest.mark.parametrize(

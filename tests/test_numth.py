@@ -1,9 +1,12 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 import sympy
 from hypothesis import given
 from hypothesis import strategies as st
 
+from elgamalmap import numth
 from elgamalmap.numth import (
     MAX_TABLE_MODULUS,
     FactoredInteger,
@@ -11,12 +14,14 @@ from elgamalmap.numth import (
     all_generators,
     euler_phi,
     factorize,
+    generator_count,
     is_prime,
     mod_inverse,
     mod_pow,
     power_table,
     smallest_generator,
 )
+from elgamalmap.permstat import fixed_point_sweep
 
 
 def test_is_prime_examples():
@@ -182,7 +187,28 @@ def test_all_generators_against_order_oracle(p):
 
 @pytest.mark.parametrize("p", SMALL_PRIMES + [101, 1009])
 def test_generator_count_is_phi_of_group_order(p):
-    assert len(all_generators(p)) == euler_phi(factorize(p - 1))
+    assert len(all_generators(p)) == euler_phi(factorize(p - 1)) == generator_count(p)
+
+
+def test_group_order_is_factorized_once(monkeypatch):
+    calls = Counter()
+
+    def counting_factorize(n):
+        calls[n] += 1
+        return factorize(n)
+
+    monkeypatch.setattr(numth, "factorize", counting_factorize)
+    numth._factorization.cache_clear()
+    assert smallest_generator(1009).g == 11
+    GroupParams(1009, 17)
+    with pytest.raises(ValueError, match="does not generate"):
+        GroupParams(1009, 2)  # still validated against the one factorization
+    assert generator_count(1009) == 288
+    assert calls == {1008: 1}
+    calls.clear()
+    numth._factorization.cache_clear()
+    fixed_point_sweep(211)
+    assert calls == {p - 1: 1 for p in range(3, 212) if is_prime(p)}
 
 
 @pytest.mark.parametrize("p", SMALL_PRIMES + [101, 1009])

@@ -6,19 +6,16 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from elgamalmap.elgamal import Permutation, elgamal_permutation
+from elgamalmap.elgamal import elgamal_permutation
 from elgamalmap.numth import GroupParams, all_generators
 from elgamalmap.permstat import (
-    CycleStructure,
     _cycle_lengths,
-    count_cycles,
-    count_k_cycles,
-    cycle_decompose,
     expected_cycles,
     expected_k_cycles,
     family_cycle_lengths,
     family_statistics,
     fixed_point_sweep,
+    random_cycle_counts,
     random_permutation,
     stirling_cycle_distribution,
 )
@@ -74,42 +71,31 @@ def test_cycle_lengths_rejects_non_bijections(n):
 
 
 def test_cycle_decompose_examples():
-    identity = Permutation(4, (1, 2, 3, 4))
-    assert cycle_decompose(identity).cycle_lengths == (1, 1, 1, 1)
-    p5 = cycle_decompose(elgamal_permutation(GroupParams(5, 2)))
-    assert p5.cycle_lengths == (3, 1)  # cycle (1 2 4), fixed point 3
-    p3 = cycle_decompose(elgamal_permutation(GroupParams(3, 2)))
-    assert p3.cycle_lengths == (2,)
-
-
-def test_count_cycles_examples():
-    assert count_cycles(CycleStructure(4, (3, 1))) == 2
-    assert count_cycles(CycleStructure(2, (2,))) == 1
-    assert count_cycles(CycleStructure(5, (1, 1, 1, 1, 1))) == 5
-
-
-def test_count_k_cycles_examples():
-    cs = CycleStructure(4, (3, 1))
-    assert count_k_cycles(cs, 1) == 1
-    assert count_k_cycles(cs, 2) == 0
-    assert count_k_cycles(cs, 3) == 1
-    with pytest.raises(ValueError):
-        count_k_cycles(cs, 0)
-
-
-def test_cycle_structure_validation():
-    with pytest.raises(ValueError):
-        CycleStructure(4, (2, 1))  # lengths do not sum to degree
-    with pytest.raises(ValueError):
-        CycleStructure(1, (0, 1))
+    rows, lengths = _cycle_lengths(np.array([[1, 2, 3, 4]]))
+    assert lengths.tolist() == [1, 1, 1, 1]
+    assert rows.tolist() == [0, 0, 0, 0]
+    [(_, p5)] = family_cycle_lengths(5, [2])
+    assert p5.tolist() == [3, 1]  # cycle (1 2 4), fixed point 3
+    [(_, p3)] = family_cycle_lengths(3, [2])
+    assert p3.tolist() == [2]
 
 
 @settings(max_examples=60)
 @given(st.integers(min_value=1, max_value=300), st.integers(min_value=0, max_value=2**63 - 1))
 def test_cycle_lengths_sum_to_degree(n, seed):
-    cs = cycle_decompose(random_permutation(n, seed))
-    assert sum(cs.cycle_lengths) == n
-    assert sum(k * count_k_cycles(cs, k) for k in range(1, n + 1)) == n
+    _, lengths = _cycle_lengths(np.array([random_permutation(n, seed).image]))
+    assert lengths.sum() == n
+
+
+@pytest.mark.parametrize(
+    ("n", "samples", "seed"),
+    [(1, 3, 0), (100, 400, 7), (20000, 2, 3)],  # 3 blocks; one row per block
+)
+def test_random_cycle_counts_matches_orbit_walk(n, samples, seed):
+    expected = [
+        len(_orbit_walk_lengths(random_permutation(n, seed + i).image)) for i in range(samples)
+    ]
+    assert random_cycle_counts(n, samples, seed) == expected
 
 
 def test_stirling_examples():
@@ -182,11 +168,8 @@ def test_random_permutations_distinct_across_seeds():
 def test_monte_carlo_k_cycle_averages():
     """10**4 seeded samples of degree 200: k-cycle averages within
     1/k +- 0.05 for k = 1..5."""
-    totals = [0] * 6
-    for seed in range(10_000):
-        cs = cycle_decompose(random_permutation(200, seed))
-        for k in range(1, 6):
-            totals[k] += count_k_cycles(cs, k)
+    images = np.array([random_permutation(200, seed).image for seed in range(10_000)])
+    totals = np.bincount(_cycle_lengths(images)[1], minlength=6)
     for k in range(1, 6):
         assert abs(totals[k] / 10_000 - 1 / k) < 0.05
 
@@ -196,13 +179,12 @@ def test_family_statistics_p5():
     # g=2 has cycles (3,1); g=3 is the 4-cycle (1 3 2 4)
     assert stats.cycle_counts == (2, 1)
     assert stats.avg_k_cycles[0] == pytest.approx(0.5)
-    assert stats.histogram == {1: 1, 2: 1}
-    assert stats.mean_cycles == pytest.approx(1.5)
+    assert sum(stats.cycle_counts) / len(stats.cycle_counts) == 1.5
 
 
 def test_family_statistics_p3():
     stats = family_statistics(3, [2], k_max=2)
-    assert stats.histogram == {1: 1}
+    assert stats.cycle_counts == (1,)
     assert stats.avg_k_cycles == (0.0, 1.0)
 
 
@@ -259,8 +241,8 @@ def test_fixed_point_sweep_small_values():
 
 @pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 31, 61, 101])
 def test_fixed_point_sweep_agrees_with_decomposition(p):
-    """Dual route: the vectorized sweep must reproduce the average of
-    count_k_cycles(.., 1) over explicitly decomposed permutations."""
+    """Dual route: the vectorized sweep must reproduce the average number
+    of 1-cycles over explicitly decomposed permutations."""
     stats = family_statistics(p, all_generators(p), k_max=1)
     sweep_avg = dict(fixed_point_sweep(p))[p]
     assert sweep_avg == pytest.approx(stats.avg_k_cycles[0], abs=1e-12)

@@ -1,9 +1,7 @@
 import math
 import xml.etree.ElementTree as ET
 
-from elgamalmap.elgamal import elgamal_permutation
-from elgamalmap.numth import GroupParams
-from elgamalmap.permstat import CycleStructure, count_cycles, cycle_decompose
+from elgamalmap.permstat import family_cycle_lengths
 from elgamalmap.render import cycle_diagram_svg
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
@@ -15,28 +13,27 @@ def _circles(svg_text):
 
 
 def test_one_circle_per_cycle_small():
-    svg = cycle_diagram_svg(cycle_decompose(elgamal_permutation(GroupParams(3, 2))))
+    [(_, lengths)] = family_cycle_lengths(3, [2])
+    svg = cycle_diagram_svg(lengths.tolist())
     assert len(_circles(svg)) == 1
 
 
 def test_radius_ratio_matches_cycle_lengths():
-    structure = cycle_decompose(elgamal_permutation(GroupParams(5, 2)))
-    circles = _circles(cycle_diagram_svg(structure))
+    circles = _circles(cycle_diagram_svg((3, 1)))
     radii = sorted(float(c.get("r")) for c in circles)
     assert len(radii) == 2
     assert radii[1] / radii[0] == 3.0  # lengths {3, 1}
 
 
 def test_circle_count_at_1009():
-    structure = cycle_decompose(elgamal_permutation(GroupParams(1009, 11)))
-    svg = cycle_diagram_svg(structure)
-    assert len(_circles(svg)) == count_cycles(structure)
+    [(_, lengths)] = family_cycle_lengths(1009, [11])
+    svg = cycle_diagram_svg(lengths.tolist())
+    assert len(_circles(svg)) == len(lengths)
     assert 'version="1.1"' in svg
 
 
 def test_circles_do_not_overlap():
-    structure = CycleStructure(60, (20, 15, 10, 7, 5, 1, 1, 1))
-    circles = _circles(cycle_diagram_svg(structure))
+    circles = _circles(cycle_diagram_svg((20, 15, 10, 7, 5, 1, 1, 1)))
     geoms = [
         (float(c.get("cx")), float(c.get("cy")), float(c.get("r"))) for c in circles
     ]
@@ -48,13 +45,15 @@ def test_circles_do_not_overlap():
 
 
 def test_rendering_is_deterministic():
-    structure = CycleStructure(10, (4, 3, 2, 1))
-    assert cycle_diagram_svg(structure) == cycle_diagram_svg(structure)
+    assert cycle_diagram_svg((4, 3, 2, 1)) == cycle_diagram_svg((4, 3, 2, 1))
+
+
+def test_layout_sorts_longest_first():
+    assert cycle_diagram_svg([1, 3, 2, 4]) == cycle_diagram_svg((4, 3, 2, 1))
 
 
 def test_circles_stay_inside_canvas():
-    structure = CycleStructure(100, tuple([30, 25, 20] + [1] * 25))
-    svg = cycle_diagram_svg(structure)
+    svg = cycle_diagram_svg([30, 25, 20] + [1] * 25)
     root = ET.fromstring(svg)
     width = float(root.get("width"))
     height = float(root.get("height"))

@@ -6,14 +6,17 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def test_run_experiments_quick(tmp_path):
+def _run_script(name, *args):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    result = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / "run_experiments.py"), "--quick",
-         "--outdir", str(tmp_path)],
+    return subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / name), *args],
         env=env, capture_output=True, text=True, timeout=120,
     )
+
+
+def test_run_experiments_quick(tmp_path):
+    result = _run_script("run_experiments.py", "--quick", "--outdir", str(tmp_path))
     assert result.returncode == 0, result.stderr
     lines = result.stdout.splitlines()
     assert len(lines) == 11
@@ -24,3 +27,13 @@ def test_run_experiments_quick(tmp_path):
         "discrepancy_101.json", "discrepancy_101_records.csv", "cycles_101_smallest.svg",
         "sign_demo_101.json",
     ])
+
+
+def test_render_gallery_smoke(tmp_path):
+    result = _run_script(
+        "render_gallery.py", "--prime", "61", "--count", "3", "--outdir", str(tmp_path)
+    )
+    assert result.returncode == 0, result.stderr
+    assert sorted(path.name for path in tmp_path.iterdir()) == [
+        "cycles_p61_g2.svg", "cycles_p61_g6.svg", "cycles_p61_g7.svg",
+    ]
