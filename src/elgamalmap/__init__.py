@@ -44,7 +44,6 @@ from .sidon import (
     SidonGraph,
     build_graph,
     character_sum,
-    incomplete_exponential_sum_profile,
     incomplete_exponential_sum_total,
     max_nontrivial_character_sum,
     point_set,

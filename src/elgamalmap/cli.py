@@ -84,9 +84,12 @@ def _require_dense(cells: int, what: str, limit: int = MAX_DENSE_CELLS) -> None:
         raise InputError(f"{what} needs {cells} cells, above the supported maximum {limit}")
 
 
-def _require_family(p: int) -> None:
-    """Reject a whole-family cycle run over phi(p-1) tables of p-1 cells above MAX_FAMILY_CELLS."""
-    _require_dense(generator_count(p) * (p - 1), f"--prime {p} with all generators", MAX_FAMILY_CELLS)
+def _require_family(p: int, cells_per_generator: int) -> None:
+    """Reject a run over all phi(p-1) generators whose kernel calls of
+    `cells_per_generator` cells each add up to more than MAX_FAMILY_CELLS."""
+    _require_dense(
+        generator_count(p) * cells_per_generator, f"--prime {p} with all generators", MAX_FAMILY_CELLS
+    )
 
 
 def _resolve_generators(p: int, selection: str) -> list[GroupParams]:
@@ -145,7 +148,7 @@ def _emit(text: str, out_path: str | None) -> None:
 def _cmd_cycles(args) -> bool:
     p = _require_odd_prime(args.prime)
     if args.generator == "all":
-        _require_family(p)
+        _require_family(p, p - 1)
         generators = all_generators(p)
     else:
         generators = [_resolve_single_generator(p, args.generator).g]
@@ -172,7 +175,7 @@ def _cycle_count_table(n: int, counts: list[int]) -> list[tuple]:
 
 def _cmd_cycle_dist(args) -> bool:
     p = _require_odd_prime(args.prime)
-    _require_family(p)
+    _require_family(p, p - 1)
     stats = family_statistics(p, all_generators(p), k_max=1)
     rows = _cycle_count_table(p - 1, list(stats.cycle_counts))
     _emit(_table(["c", "theory_percent", "elgamal_percent"], rows, args.format), args.out)
@@ -192,7 +195,7 @@ def _cmd_random_baseline(args) -> bool:
 def _cmd_kcycles(args) -> bool:
     p = _require_odd_prime(args.prime)
     _require_count(args.k_max, "--k-max", 1, MAX_TABLE_MODULUS)
-    _require_family(p)
+    _require_family(p, p - 1)
     stats = family_statistics(p, all_generators(p), k_max=args.k_max)
     rows = [
         (k, expected_k_cycles(k), stats.avg_k_cycles[k - 1]) for k in range(1, args.k_max + 1)
@@ -213,6 +216,8 @@ def _cmd_fixed_points(args) -> bool:
 def _cmd_sidon(args) -> bool:
     p = _require_odd_prime(args.prime)
     _require_dense(p * (p - 1), f"--prime {p}")
+    if args.generator == "all":
+        _require_family(p, p * (p - 1))
     expected = (p - 1) ** 2 - (p - 1) + 1
     results = []
     all_ok = True
@@ -234,12 +239,13 @@ def _cmd_sidon(args) -> bool:
 
 def _cmd_char_sums(args) -> bool:
     p = _require_odd_prime(args.prime)
-    _require_dense(p * (p - 1), f"--prime {p}")
+    if args.generator == "all":
+        _require_family(p, p - 1)
     bound = sidon_character_bound(p)
     results = []
     all_ok = True
     for params in _resolve_generators(p, args.generator):
-        value, chi = max_nontrivial_character_sum(build_graph(params))
+        value, chi = max_nontrivial_character_sum(params)
         ok = value < bound
         all_ok &= ok
         results.append(
@@ -257,7 +263,8 @@ def _cmd_char_sums(args) -> bool:
 
 
 def _cmd_polya(args) -> bool:
-    _require_dense(args.n * args.window, f"--n {args.n} --window {args.window}")
+    if args.n > MAX_TABLE_MODULUS:
+        raise InputError(f"--n {args.n} is above the supported maximum {MAX_TABLE_MODULUS}")
     try:
         total = incomplete_exponential_sum_total(args.n, args.window, args.shift)
     except ValueError as exc:

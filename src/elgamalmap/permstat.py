@@ -130,6 +130,14 @@ def expected_k_cycles(k: int) -> float:
     return 1.0 / k
 
 
+def _random_image(n: int, seed: int) -> np.ndarray:
+    """The image table of the seeded uniform permutation of {1..n}: the
+    one sampler behind `random_permutation` and `random_cycle_counts`."""
+    if n < 1:
+        raise ValueError(f"degree must be >= 1, got {n}")
+    return np.random.default_rng(seed).permutation(n) + 1
+
+
 def random_permutation(n: int, seed: int) -> Permutation:
     """A uniform permutation of {1..n} from an unbiased seeded shuffle.
 
@@ -137,11 +145,7 @@ def random_permutation(n: int, seed: int) -> Permutation:
     seed always reproduces the same permutation for a fixed numpy
     version.
     """
-    if n < 1:
-        raise ValueError(f"degree must be >= 1, got {n}")
-    rng = np.random.default_rng(seed)
-    image = rng.permutation(n) + 1
-    return Permutation(n, tuple(int(v) for v in image))
+    return Permutation(n, tuple(_random_image(n, seed).tolist()))
 
 
 # Cells (rows x degree) per block of the batched cycle kernel: 2**16
@@ -168,7 +172,7 @@ def random_cycle_counts(n: int, samples: int, seed: int) -> list[int]:
     for i = 0..samples-1, decomposed a block of samples at a time."""
     counts: list[int] = []
     for start, stop in _row_blocks(samples, n):
-        images = np.array([random_permutation(n, seed + i).image for i in range(start, stop)])
+        images = np.stack([_random_image(n, seed + i) for i in range(start, stop)])
         rows, _ = _cycle_lengths(images)
         counts.extend(np.bincount(rows, minlength=stop - start).tolist())
     return counts

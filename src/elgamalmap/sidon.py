@@ -8,6 +8,10 @@ measures the difference-set cardinality (which must be
 group against the point set, and computes the incomplete exponential
 sums that control box equidistribution.
 
+The difference count is the one dense O(p**2) kernel.  The largest
+character sum is one length-(p-1) FFT and the incomplete-sum total one
+O(n) pass over closed forms.
+
 Exponents are the residues {0, ..., p-2} of Z_{p-1}, the index set of
 `numth.power_table`; the permutation module reads the same table at
 x mod p-1 for x in {1, ..., p-1}.  Points are ordered
@@ -34,7 +38,6 @@ __all__ = [
     "character_sum",
     "max_nontrivial_character_sum",
     "incomplete_exponential_sum_total",
-    "incomplete_exponential_sum_profile",
     "polya_vinogradov_bound",
     "sidon_character_bound",
 ]
@@ -95,9 +98,9 @@ def point_set(p: int, points: list[Point]) -> SidonGraph:
     return SidonGraph(p=p, g=0, first=arr[:, 0].copy(), second=arr[:, 1].copy())
 
 
-# Largest dense array, in cells, the CLI runs the O(p**2) kernels on:
-# p*(p-1) for the difference counts and the character-sum grid, n*N for
-# the incomplete-sum root table.  p = 5791 is the largest prime inside.
+# Largest dense array, in cells, the CLI builds: p*(p-1) difference
+# codes for `verify_sidon` (p = 5791 is the largest prime inside) and
+# degree*samples for the random cycle baseline.
 MAX_DENSE_CELLS = 2**25
 
 
@@ -183,57 +186,37 @@ def character_sum(graph: SidonGraph, chi: CharacterIndex) -> float:
     return float(abs(terms.sum()))
 
 
-def max_nontrivial_character_sum(graph: SidonGraph) -> tuple[float, CharacterIndex]:
+def max_nontrivial_character_sum(params: GroupParams) -> tuple[float, CharacterIndex]:
     """Largest character-sum magnitude over all p*(p-1) - 1 nontrivial
-    characters, with its index.
+    characters of the graph of x -> g**x, with its index.
 
-    All magnitudes are obtained at once as the 2-D discrete Fourier
-    transform of the point set's indicator array on the Z_p x Z_{p-1}
-    grid; entry (s, t) of the transform is the conjugate of the
-    character sum, so the magnitudes are identical.  The index is the
-    first in row-major order (smallest s, then t) whose magnitude lies
-    within a relative 1e-9 of the maximum: for a genuine graph every
-    (s, t) with s, t != 0 has magnitude sqrt(p), so the exact argmax
-    would be picked by rounding noise, and this rule gives (1, 1).
+    Shifting x by k maps the sum at (s, t) to the one at (s*g**k, t)
+    times a unit phase, so every row s != 0 has the magnitudes of row 1,
+    and row 0 is exactly 0 for t != 0.  Row 1 is one length-(p-1) FFT of
+    exp(2*pi*i*g**x/p); its entries for t != 0 are Gauss sums of
+    magnitude sqrt(p) (Ireland and Rosen, ch. 8).  The index is (1, t)
+    for the first t whose magnitude lies within a relative 1e-9 of the
+    maximum, which is (1, 1): the first index in row-major order of the
+    full grid, picked by a rule rather than by rounding noise.
     """
-    p, d = graph.p, graph.d
-    indicator = np.zeros((p, d))
-    indicator[graph.first, graph.second] = 1.0
-    magnitudes = np.abs(np.fft.fft2(indicator))
-    magnitudes[0, 0] = -1.0  # exclude the trivial character
-    peak = float(magnitudes.max())
-    s, t = divmod(int(np.argmax(magnitudes >= peak * (1.0 - 1e-9))), d)
-    return peak, CharacterIndex(s, t)
+    p = params.p
+    row = np.abs(np.fft.fft(np.exp(2j * np.pi * power_table(p, params.g) / p)))
+    peak = float(row.max())
+    return peak, CharacterIndex(1, int(np.argmax(row >= peak * (1.0 - 1e-9))))
 
 
 def incomplete_exponential_sum_total(n: int, N: int, h: int) -> float:
     """sum over a in [0, n) of |sum over the window x in [h, h+N) of
     exp(2*pi*i*a*x/n)|.
 
-    The window length N must satisfy 1 <= N < n; the start h may be any
-    integer (only x mod n matters).
+    The window length N must satisfy 1 <= N < n.  Each inner sum is a
+    geometric series of magnitude N at a = 0 and
+    |sin(pi*(a*N mod n)/n) / sin(pi*a/n)| otherwise, so the total takes
+    O(n) and does not depend on the start h, which may be any integer.
     """
     _check_window(n, N)
-    w = _roots_of_unity(n)
-    a = np.arange(n, dtype=np.int64)
-    x = (h % n + np.arange(N, dtype=np.int64)) % n
-    inner = w[(a[:, None] * x[None, :]) % n].sum(axis=1)
-    return float(np.abs(inner).sum())
-
-
-def incomplete_exponential_sum_profile(n: int, h: int) -> np.ndarray:
-    """The totals for every window length at once: entry N-1 equals
-    incomplete_exponential_sum_total(n, N, h) for N = 1..n-1.
-
-    Computed by accumulating the window sums column by column, an
-    independent route from the direct per-N evaluation.
-    """
-    _check_window(n, 1)
-    w = _roots_of_unity(n)
-    a = np.arange(n, dtype=np.int64)
-    x = (h % n + np.arange(n - 1, dtype=np.int64)) % n
-    partial = np.cumsum(w[(a[:, None] * x[None, :]) % n], axis=1)
-    return np.abs(partial).sum(axis=0)
+    a = np.arange(1, n, dtype=np.int64)
+    return N + float(np.abs(np.sin(np.pi * (a * N % n) / n) / np.sin(np.pi * a / n)).sum())
 
 
 def _check_window(n: int, N: int) -> None:

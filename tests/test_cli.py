@@ -234,9 +234,9 @@ def test_composite_prime_is_input_error(capsys):
         # dense arrays above MAX_DENSE_CELLS: once numpy _ArrayMemoryError
         pytest.param(["sidon", "--prime", "100003"], id="sidon-dense"),
         pytest.param(["sidon", "--prime", "5801"], id="sidon-first-prime-outside"),
-        pytest.param(["char-sums", "--prime", "100003"], id="char-sums-dense"),
-        pytest.param(["polya", "--n", "100000", "--window", "50000"], id="polya-dense"),
+        # --n above MAX_TABLE_MODULUS
         pytest.param(["polya", "--n", "1000000000", "--window", "1"], id="polya-huge-n"),
+        pytest.param(["polya", "--n", "1000001", "--window", "1"], id="polya-first-n-outside"),
         pytest.param(
             ["random-baseline", "--degree", "1000", "--samples", "100000"],
             id="random-baseline-cells",
@@ -258,6 +258,14 @@ def test_composite_prime_is_input_error(capsys):
         pytest.param(["cycles", "--prime", "999983", "--generator", "all"], id="cycles-all-family"),
         pytest.param(["kcycles", "--prime", "999983"], id="kcycles-family"),
         pytest.param(["cycle-dist", "--prime", "11633"], id="cycle-dist-first-outside"),
+        # --generator all above MAX_FAMILY_CELLS over all its kernel calls: once hours of work
+        pytest.param(["sidon", "--prime", "5791", "--generator", "all"], id="sidon-all-family"),
+        pytest.param(
+            ["sidon", "--prime", "557", "--generator", "all"], id="sidon-all-first-outside"
+        ),
+        pytest.param(
+            ["char-sums", "--prime", "11633", "--generator", "all"], id="char-sums-all-family"
+        ),
     ],
 )
 def test_prime_above_table_limit_is_input_error(capsys, argv):
@@ -272,9 +280,27 @@ def test_prime_above_table_limit_is_input_error(capsys, argv):
 def test_family_envelope_admits_every_prime_to_10007():
     for p in range(3, 10008, 2):
         if is_prime(p):
-            cli._require_family(p)
+            cli._require_family(p, p - 1)
     with pytest.raises(cli.InputError, match="11633 with all generators needs 67558656 cells"):
-        cli._require_family(11633)
+        cli._require_family(11633, 11632)
+    # sidon's kernel reads p*(p-1) cells per generator
+    cli._require_family(631, 631 * 630)
+    with pytest.raises(cli.InputError, match="557 with all generators needs 85474992 cells"):
+        cli._require_family(557, 557 * 556)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param(["char-sums", "--prime", "10007"], id="char-sums"),
+        pytest.param(["polya", "--n", "1000000", "--window", "500000"], id="polya"),
+    ],
+)
+def test_closed_form_kernels_run_at_the_table_limit(capsys, argv):
+    """Neither kernel builds a dense array, so no dense cap applies."""
+    code, out = run(capsys, *argv)
+    assert code == 0
+    assert json.loads(out)["pass"] is True
 
 
 @pytest.mark.parametrize(

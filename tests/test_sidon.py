@@ -11,7 +11,6 @@ from elgamalmap.sidon import (
     CharacterIndex,
     build_graph,
     character_sum,
-    incomplete_exponential_sum_profile,
     incomplete_exponential_sum_total,
     max_nontrivial_character_sum,
     point_set,
@@ -123,6 +122,40 @@ def test_random_point_sets_match_oracle(p, data):
     assert check.witness == (pairs[0], pairs[1])
 
 
+def _dense_character_maximum(graph):
+    """Oracle: every character sum at once as the 2-D FFT of the indicator
+    array on the Z_p x Z_{p-1} grid (entry (s, t) is the conjugate of the
+    sum), maximized over the nontrivial characters; the index is the first
+    in row-major order within a relative 1e-9 of the maximum."""
+    p, d = graph.p, graph.d
+    indicator = np.zeros((p, d))
+    indicator[graph.first, graph.second] = 1.0
+    magnitudes = np.abs(np.fft.fft2(indicator))
+    magnitudes[0, 0] = -1.0  # exclude the trivial character
+    peak = float(magnitudes.max())
+    s, t = divmod(int(np.argmax(magnitudes >= peak * (1.0 - 1e-9))), d)
+    return peak, CharacterIndex(s, t)
+
+
+def _roots_table(n, N, h):
+    """exp(2*pi*i*a*x/n) for a in [0, n) (rows) and x in [h, h+N) (columns),
+    from exact integer phase indices."""
+    a = np.arange(n, dtype=np.int64)
+    x = (h % n + np.arange(N, dtype=np.int64)) % n
+    return np.exp(2j * np.pi * ((a[:, None] * x[None, :]) % n) / n)
+
+
+def _matrix_total(n, N, h):
+    """Oracle: the n x N root table summed along each row."""
+    return float(np.abs(_roots_table(n, N, h).sum(axis=1)).sum())
+
+
+def _cumulative_profile(n, h):
+    """Oracle: the totals for every window length N = 1..n-1 at once, from
+    the window sums accumulated column by column."""
+    return np.abs(np.cumsum(_roots_table(n, n - 1, h), axis=1)).sum(axis=0)
+
+
 def test_character_sum_trivial_is_size():
     graph = build_graph(GroupParams(5, 2))
     assert character_sum(graph, CharacterIndex(0, 0)) == pytest.approx(4.0, abs=1e-12)
@@ -150,7 +183,7 @@ def test_max_character_sum_p5_under_bound():
         for t in range(4)
         if (s, t) != (0, 0)
     )
-    value, chi = max_nontrivial_character_sum(graph)
+    value, chi = max_nontrivial_character_sum(GroupParams(5, 2))
     assert not chi.is_trivial
     assert value == pytest.approx(direct_max, abs=1e-9)
     assert value < math.sqrt(12)
@@ -158,10 +191,11 @@ def test_max_character_sum_p5_under_bound():
 
 @pytest.mark.parametrize("p", [3, 5, 13, 61])
 def test_max_scan_agrees_with_direct_evaluator(p):
-    """The transform table and the per-character evaluator are separate
+    """The transform row and the per-character evaluator are separate
     routes; they must agree everywhere."""
-    graph = build_graph(smallest_generator(p))
-    value, chi = max_nontrivial_character_sum(graph)
+    params = smallest_generator(p)
+    graph = build_graph(params)
+    value, chi = max_nontrivial_character_sum(params)
     assert character_sum(graph, chi) == pytest.approx(value, abs=1e-9)
     rng = np.random.default_rng(5)
     for _ in range(25):
@@ -175,7 +209,7 @@ def test_max_scan_agrees_with_direct_evaluator(p):
 @pytest.mark.parametrize("p", [3, 5, 61])
 def test_character_bound_small_primes(p):
     for g in all_generators(p):
-        value, _ = max_nontrivial_character_sum(build_graph(GroupParams(p, g)))
+        value, _ = max_nontrivial_character_sum(GroupParams(p, g))
         assert value < sidon_character_bound(p)
 
 
@@ -184,11 +218,24 @@ def test_argmax_is_first_index_of_the_tie(p):
     """Every (s, t) with s, t != 0 ties at sqrt(p); the first in
     row-major order wins, whatever the rounding noise."""
     for g in all_generators(p):
-        _, chi = max_nontrivial_character_sum(build_graph(GroupParams(p, g)))
+        _, chi = max_nontrivial_character_sum(GroupParams(p, g))
         assert chi == CharacterIndex(1, 1)
-    # one point: every character has magnitude 1, so (0, 1) comes first
-    _, chi = max_nontrivial_character_sum(point_set(p, [(1, 0)]))
+    # the oracle's rule: with one point every character has magnitude 1,
+    # so (0, 1) comes first
+    _, chi = _dense_character_maximum(point_set(p, [(1, 0)]))
     assert chi == CharacterIndex(0, 1)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 61, 101])
+def test_max_matches_dense_grid(p):
+    """The one-row transform agrees with the full p x (p-1) grid on every
+    generator: the same maximum and the same index under the tie rule."""
+    for g in all_generators(p):
+        params = GroupParams(p, g)
+        value, chi = max_nontrivial_character_sum(params)
+        dense_value, dense_chi = _dense_character_maximum(build_graph(params))
+        assert value == pytest.approx(dense_value, rel=1e-12, abs=0), g
+        assert chi == dense_chi, g
 
 
 @pytest.mark.parametrize("p", [5, 13])
@@ -219,9 +266,13 @@ def test_incomplete_sum_examples():
         assert incomplete_exponential_sum_total(4, 2, h) == incomplete_exponential_sum_total(
             4, 2, reduced
         )
-        assert np.array_equal(
-            incomplete_exponential_sum_profile(4, h), incomplete_exponential_sum_profile(4, reduced)
-        )
+
+
+def test_total_is_the_same_float_for_every_shift():
+    """The closed form never sees h, so no output digit depends on it."""
+    base = incomplete_exponential_sum_total(4000, 2000, 0)
+    for h in [*range(1, 50), 3999, -1, 10**20 + 7]:
+        assert incomplete_exponential_sum_total(4000, 2000, h) == base, h
 
 
 def test_incomplete_sum_rejects_bad_window():
@@ -235,17 +286,19 @@ def test_incomplete_sum_rejects_bad_window():
 
 @settings(max_examples=60, deadline=None)
 @given(
-    st.integers(min_value=2, max_value=80),
+    st.integers(min_value=2, max_value=300),
     st.data(),
 )
 def test_profile_matches_direct_total(n, data):
-    """Cumulative and direct routes must agree for every window length."""
+    """The closed form agrees with the matrix route and the cumulative
+    profile, two dense routes over the root table."""
     N = data.draw(st.integers(min_value=1, max_value=n - 1))
     h = data.draw(st.integers(min_value=-20, max_value=2 * n))
-    profile = incomplete_exponential_sum_profile(n, h)
+    profile = _cumulative_profile(n, h)
     assert len(profile) == n - 1
-    direct = incomplete_exponential_sum_total(n, N, h)
-    assert profile[N - 1] == pytest.approx(direct, abs=1e-9)
+    closed = incomplete_exponential_sum_total(n, N, h)
+    assert closed == pytest.approx(_matrix_total(n, N, h), rel=1e-12, abs=0)
+    assert closed == pytest.approx(float(profile[N - 1]), rel=1e-12, abs=0)
 
 
 @settings(max_examples=40, deadline=None)
@@ -264,5 +317,5 @@ def test_shift_invariance(n, data):
 def test_polya_bound_small(n):
     bound = polya_vinogradov_bound(n)
     for h in (0, 7, n - 1):
-        profile = incomplete_exponential_sum_profile(n, h)
+        profile = _cumulative_profile(n, h)
         assert float(profile.max()) < bound
