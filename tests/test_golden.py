@@ -50,6 +50,7 @@ def _cases() -> dict[str, list[str]]:
     cases["kcycles_p1009"] = ["kcycles", "--prime", "1009"]
     cases["fixed-points_p1009"] = ["fixed-points", "--max-prime", "1009"]
     cases["sidon_p1009"] = ["sidon", "--prime", "1009"]
+    cases["sidon_p2003"] = ["sidon", "--prime", "2003"]
     cases["random-baseline_d1008"] = ["random-baseline", "--degree", "1008", "--samples", "288"]
     cases["render-cycles_p1009"] = ["render-cycles", "--prime", "1009", "--out", f"{OUT}.svg"]
     cases["discrepancy_p1009"] = [
