@@ -28,7 +28,6 @@ from .numth import (
 from .permstat import (
     CycleCountDistribution,
     FamilyStatistics,
-    expected_cycles,
     expected_k_cycles,
     family_cycle_lengths,
     family_statistics,
@@ -46,7 +45,6 @@ from .sidon import (
     character_sum,
     incomplete_exponential_sum_total,
     max_nontrivial_character_sum,
-    point_set,
     polya_vinogradov_bound,
     sidon_character_bound,
     verify_sidon,

@@ -34,7 +34,9 @@ from .numth import (
     smallest_generator,
 )
 from .permstat import (
+    MAX_DENSE_CELLS,
     MAX_FAMILY_CELLS,
+    MAX_SWEEP_CELLS,
     expected_k_cycles,
     family_cycle_lengths,
     family_statistics,
@@ -44,7 +46,6 @@ from .permstat import (
 )
 from .render import cycle_diagram_svg
 from .sidon import (
-    MAX_DENSE_CELLS,
     build_graph,
     incomplete_exponential_sum_total,
     max_nontrivial_character_sum,
@@ -215,9 +216,11 @@ def _cmd_fixed_points(args) -> bool:
 
 def _cmd_sidon(args) -> bool:
     p = _require_odd_prime(args.prime)
-    _require_dense(p * (p - 1), f"--prime {p}")
-    if args.generator == "all":
-        _require_family(p, p * (p - 1))
+    # the kernel reads p*(p-1) ordered pairs per generator
+    count = generator_count(p) if args.generator == "all" else 1
+    _require_dense(
+        count * p * (p - 1), f"--prime {p} --generator {args.generator}", MAX_FAMILY_CELLS
+    )
     expected = (p - 1) ** 2 - (p - 1) + 1
     results = []
     all_ok = True
@@ -290,6 +293,10 @@ def _cmd_polya(args) -> bool:
 def _cmd_discrepancy(args) -> bool:
     p = _require_odd_prime(args.prime)
     _require_count(args.boxes, "--boxes", 0, MAX_TABLE_MODULUS)
+    # the sweep's boxes read at most (p-1)*(p+2+boxes) table cells
+    _require_dense(
+        (p - 1) * (p + 2 + args.boxes), f"--prime {p} --boxes {args.boxes}", MAX_SWEEP_CELLS
+    )
     params = _resolve_single_generator(p, args.generator)
     report = sweep(build_graph(params), args.boxes, args.seed)
     bound = theorem_bound(p)

@@ -27,9 +27,10 @@ from .numth import power_table, smallest_generator
 __all__ = [
     "CycleCountDistribution",
     "FamilyStatistics",
+    "MAX_DENSE_CELLS",
     "MAX_FAMILY_CELLS",
+    "MAX_SWEEP_CELLS",
     "stirling_cycle_distribution",
-    "expected_cycles",
     "expected_k_cycles",
     "random_permutation",
     "random_cycle_counts",
@@ -113,16 +114,6 @@ def stirling_cycle_distribution(n: int) -> CycleCountDistribution:
     return CycleCountDistribution(n, probs)
 
 
-def expected_cycles(n: int) -> float:
-    """Harmonic number H_n, the mean cycle count of a uniform permutation.
-
-    Summed from the smallest term up for accuracy.
-    """
-    if n < 1:
-        raise ValueError(f"degree must be >= 1, got {n}")
-    return sum(1.0 / i for i in range(n, 0, -1))
-
-
 def expected_k_cycles(k: int) -> float:
     """Mean number of k-cycles of a uniform permutation: exactly 1/k."""
     if k < 1:
@@ -155,8 +146,21 @@ _BLOCK_CELLS = 2**14
 
 # Largest phi(p-1) * (p-1) a whole-family cycle run accepts.  It admits
 # every prime up to 10007, whose 50,050,012 cells `cycle-dist` decomposes
-# in about 4.5 s on 2 shared cores.
+# in about 4.5 s on 2 shared cores.  It also bounds the generators times
+# p*(p-1) ordered pairs `sidon` counts: one generator up to p = 8191.
 MAX_FAMILY_CELLS = 2**26
+
+# Largest degree*samples a `random-baseline` run accepts, and the bound
+# max_prime**2 on `fixed-points --max-prime`, whose sweep reads p-1
+# residues for every prime up to it.
+MAX_DENSE_CELLS = 2**25
+
+# Largest (p-1)*(p+2+boxes) a `discrepancy` sweep accepts: at most that
+# many table cells are read by its full box, p-1 (p for p <= 101)
+# single-row boxes of p-1 cells, p-1 single-column boxes and the random
+# boxes.  With no random boxes it admits p = 23167, which takes about
+# 7 s on 2 shared cores.
+MAX_SWEEP_CELLS = 2**29
 
 
 def _row_blocks(m: int, n: int) -> Iterator[tuple[int, int]]:

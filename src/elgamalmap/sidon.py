@@ -8,9 +8,10 @@ measures the difference-set cardinality (which must be
 group against the point set, and computes the incomplete exponential
 sums that control box equidistribution.
 
-The difference count is the one dense O(p**2) kernel.  The largest
-character sum is one length-(p-1) FFT and the incomplete-sum total one
-O(n) pass over closed forms.
+The difference count reads all (p-1)**2 ordered pairs, one block of
+exponent lags at a time, in O(p) memory.  The largest character sum is
+one length-(p-1) FFT and the incomplete-sum total one O(n) pass over
+closed forms.
 
 Exponents are the residues {0, ..., p-2} of Z_{p-1}, the index set of
 `numth.power_table`; the permutation module reads the same table at
@@ -26,14 +27,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numth import GroupParams, power_table
+from .permstat import _row_blocks
 
 __all__ = [
-    "MAX_DENSE_CELLS",
     "SidonGraph",
     "CharacterIndex",
     "SidonCheck",
     "build_graph",
-    "point_set",
     "verify_sidon",
     "character_sum",
     "max_nontrivial_character_sum",
@@ -47,22 +47,27 @@ Point = tuple[int, int]
 
 @dataclass(frozen=True, eq=False)
 class SidonGraph:
-    """A point set in Z_p x Z_{p-1}, held as parallel coordinate arrays.
+    """The graph {(first[x], x) : x in Z_{p-1}} of a table
+    first: Z_{p-1} -> Z_p, one point per exponent.
 
-    Genuine graphs from `build_graph` contain exactly the p-1 points
-    (g**x, x) for x = 0..p-2; `point_set` wraps arbitrary collections so
-    that the failure path of `verify_sidon` can be exercised (g is 0 for
-    those).
+    Genuine graphs from `build_graph` hold the power table of g; any
+    other table of p-1 values in [0, p) may be wrapped directly, so that
+    the failure path of `verify_sidon` can be exercised.
     """
 
     p: int
     g: int
-    first: np.ndarray  # Z_p coordinates
-    second: np.ndarray  # Z_{p-1} coordinates
+    first: np.ndarray  # first[x] is the Z_p coordinate of exponent x
+
+    def __post_init__(self) -> None:
+        if self.p < 3 or len(self.first) != self.p - 1:
+            raise ValueError(f"need p >= 3 and p-1 table values, got p={self.p}, {len(self.first)}")
+        if self.first.min() < 0 or self.first.max() >= self.p:
+            raise ValueError(f"table values must lie in [0, {self.p})")
 
     @property
     def d(self) -> int:
-        """Order of the second factor, p - 1."""
+        """Order of the exponent group Z_{p-1}."""
         return self.p - 1
 
     @property
@@ -71,37 +76,12 @@ class SidonGraph:
 
     @property
     def points(self) -> list[Point]:
-        return [(int(u), int(v)) for u, v in zip(self.first, self.second)]
+        return [(int(u), v) for v, u in enumerate(self.first)]
 
 
 def build_graph(params: GroupParams) -> SidonGraph:
     """The p-1 points (g**x, x), x ascending from 0."""
-    p, g, d = params.p, params.g, params.d
-    return SidonGraph(p=p, g=g, first=power_table(p, g), second=np.arange(d, dtype=np.int64))
-
-
-def point_set(p: int, points: list[Point]) -> SidonGraph:
-    """Wrap an arbitrary list of distinct points of Z_p x Z_{p-1}.
-
-    Intended for tests: graphs from `build_graph` never fail
-    `verify_sidon`, so synthetic sets are the only way to see a witness.
-    """
-    if p < 3:
-        raise ValueError(f"ambient group needs p >= 3, got {p}")
-    if len(set(points)) != len(points):
-        raise ValueError("points must be distinct")
-    d = p - 1
-    for u, v in points:
-        if not (0 <= u < p and 0 <= v < d):
-            raise ValueError(f"point ({u}, {v}) outside Z_{p} x Z_{d}")
-    arr = np.asarray(points, dtype=np.int64).reshape(len(points), 2)
-    return SidonGraph(p=p, g=0, first=arr[:, 0].copy(), second=arr[:, 1].copy())
-
-
-# Largest dense array, in cells, the CLI builds: p*(p-1) difference
-# codes for `verify_sidon` (p = 5791 is the largest prime inside) and
-# degree*samples for the random cycle baseline.
-MAX_DENSE_CELLS = 2**25
+    return SidonGraph(p=params.p, g=params.g, first=power_table(params.p, params.g))
 
 
 @dataclass(frozen=True)
@@ -125,29 +105,31 @@ def verify_sidon(graph: SidonGraph) -> SidonCheck:
     it; the set is Sidon iff every nonzero difference is realized at
     most once.
 
-    Exhaustive over all size**2 ordered pairs, with differences encoded
-    as u*(p-1) + v and counted in one `bincount` (the zero difference,
-    realized exactly `size` times on the diagonal, is exempt).  On
-    failure the reported witness is the smallest colliding difference in
-    (u, v) lexicographic order, realized by its first two ordered pairs
-    in row-major order.
+    The graph has one point per exponent, so the pairs at exponent lag
+    v realize the differences (t[(y+v) mod d] - t[y] mod p, v) over y,
+    and lag 0 realizes only the zero difference.  Each block of lags
+    v = 1..d-1 (at most _BLOCK_CELLS pairs) is counted by one
+    `bincount` of lag_index*p + u, which stays exhaustive over all
+    size**2 ordered pairs in O(p) memory.  On failure the witness is the
+    first colliding difference in (v, u) lexicographic order, realized
+    by its two smallest y.
     """
-    p, d = graph.p, graph.d
-    codes = (graph.first[:, None] - graph.first[None, :]) % p
-    codes *= d
-    codes += (graph.second[:, None] - graph.second[None, :]) % d
-    codes = codes.ravel()
-    counts = np.bincount(codes, minlength=p * d)
-    diff_set_size = int(np.count_nonzero(counts))
-    collisions = np.flatnonzero(counts[1:] > 1)
-    if len(collisions) == 0:
-        return SidonCheck(ok=True, diff_set_size=diff_set_size)
-    pts = graph.points
-    (i, j), (k, l) = (
-        divmod(int(pos), graph.size) for pos in np.flatnonzero(codes == collisions[0] + 1)[:2]
-    )
-    witness = ((pts[i], pts[j]), (pts[k], pts[l]))
-    return SidonCheck(ok=False, diff_set_size=diff_set_size, witness=witness)
+    p, d, t = graph.p, graph.d, graph.first
+    shifted = np.lib.stride_tricks.sliding_window_view(np.concatenate([t, t]), d)
+    diff_set_size = 1  # the zero difference
+    witness = None
+    for start, stop in _row_blocks(d - 1, d):
+        codes = (shifted[start + 1 : stop + 1] - t) % p
+        codes += np.arange(0, (stop - start) * p, p)[:, None]
+        counts = np.bincount(codes.ravel(), minlength=(stop - start) * p)
+        diff_set_size += int(np.count_nonzero(counts))
+        collisions = np.flatnonzero(counts > 1)
+        if witness is None and len(collisions):
+            row = int(collisions[0]) // p
+            v, pts = start + 1 + row, graph.points
+            y1, y2 = np.flatnonzero(codes[row] == collisions[0])[:2].tolist()
+            witness = ((pts[(y1 + v) % d], pts[y1]), (pts[(y2 + v) % d], pts[y2]))
+    return SidonCheck(ok=witness is None, diff_set_size=diff_set_size, witness=witness)
 
 
 @dataclass(frozen=True)
@@ -182,7 +164,7 @@ def character_sum(graph: SidonGraph, chi: CharacterIndex) -> float:
         raise ValueError(f"character index ({chi.s}, {chi.t}) outside [0,{p}) x [0,{d})")
     wp = _roots_of_unity(p)
     wd = _roots_of_unity(d)
-    terms = wp[(chi.s * graph.first) % p] * wd[(chi.t * graph.second) % d]
+    terms = wp[(chi.s * graph.first) % p] * wd[(chi.t * np.arange(d)) % d]
     return float(abs(terms.sum()))
 
 

@@ -131,7 +131,7 @@ def test_criterion_05_incomplete_sum_bound():
 
 def _naive_box_count(graph, box):
     in_first = (graph.first - box.h - 1) % graph.p < box.N
-    in_second = (graph.second - box.k - 1) % graph.d < box.M
+    in_second = (np.arange(graph.d) - box.k - 1) % graph.d < box.M
     return int(np.count_nonzero(in_first & in_second))
 
 

@@ -231,9 +231,9 @@ def test_composite_prime_is_input_error(capsys):
         for sub in ["cycles", "sidon", "discrepancy", "sign-demo"]
     ]
     + [
-        # dense arrays above MAX_DENSE_CELLS: once numpy _ArrayMemoryError
+        # p*(p-1) ordered pairs above MAX_FAMILY_CELLS: once numpy _ArrayMemoryError
         pytest.param(["sidon", "--prime", "100003"], id="sidon-dense"),
-        pytest.param(["sidon", "--prime", "5801"], id="sidon-first-prime-outside"),
+        pytest.param(["sidon", "--prime", "8209"], id="sidon-first-prime-outside"),
         # --n above MAX_TABLE_MODULUS
         pytest.param(["polya", "--n", "1000000000", "--window", "1"], id="polya-huge-n"),
         pytest.param(["polya", "--n", "1000001", "--window", "1"], id="polya-first-n-outside"),
@@ -250,6 +250,9 @@ def test_composite_prime_is_input_error(capsys):
         pytest.param(
             ["discrepancy", "--prime", "101", "--boxes", "100000000"], id="discrepancy-boxes"
         ),
+        # box sweeps reading more than MAX_SWEEP_CELLS table cells: once hours of work
+        pytest.param(["discrepancy", "--prime", "999983"], id="discrepancy-sweep"),
+        pytest.param(["discrepancy", "--prime", "23173"], id="discrepancy-first-prime-outside"),
         # the sweep's largest prime reads phi(p-1) tables of p-1 entries: once a hang
         pytest.param(["fixed-points", "--max-prime", "100000000"], id="fixed-points-max-prime"),
         pytest.param(["fixed-points", "--max-prime", "5793"], id="fixed-points-first-outside"),
@@ -283,10 +286,27 @@ def test_family_envelope_admits_every_prime_to_10007():
             cli._require_family(p, p - 1)
     with pytest.raises(cli.InputError, match="11633 with all generators needs 67558656 cells"):
         cli._require_family(11633, 11632)
-    # sidon's kernel reads p*(p-1) cells per generator
+    # sidon checks generators * p*(p-1) pairs against the same cap
     cli._require_family(631, 631 * 630)
     with pytest.raises(cli.InputError, match="557 with all generators needs 85474992 cells"):
         cli._require_family(557, 557 * 556)
+
+
+def test_sweep_envelope_edges():
+    """The discrepancy cap admits p = 23167 without random boxes, and the
+    benchmark's 20000 boxes at 10007; 23173 is the first prime outside."""
+    assert 23166 * (23167 + 2) <= cli.MAX_SWEEP_CELLS < 23172 * (23173 + 2)
+    assert 10006 * (10007 + 2 + 20000) <= cli.MAX_SWEEP_CELLS
+
+
+def test_sidon_counts_past_the_old_dense_cap(capsys):
+    """The lag kernel holds O(p) cells, so p = 5801, once above the dense
+    cap, is checked in full."""
+    code, out = run(capsys, "sidon", "--prime", "5801")
+    assert code == 0
+    result = json.loads(out)
+    assert result["pass"] is True
+    assert result["results"][0]["diff_set_size"] == 5800**2 - 5800 + 1
 
 
 @pytest.mark.parametrize(

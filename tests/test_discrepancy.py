@@ -12,7 +12,7 @@ def _naive_count(graph, box):
     """Oracle: test both coordinates of every point individually."""
     p, d = graph.p, graph.d
     in_first = (graph.first - box.h - 1) % p < box.N
-    in_second = (graph.second - box.k - 1) % d < box.M
+    in_second = (np.arange(graph.d) - box.k - 1) % d < box.M
     return int(np.count_nonzero(in_first & in_second))
 
 

@@ -9,11 +9,11 @@ from hypothesis import strategies as st
 from elgamalmap.numth import GroupParams, all_generators, smallest_generator
 from elgamalmap.sidon import (
     CharacterIndex,
+    SidonGraph,
     build_graph,
     character_sum,
     incomplete_exponential_sum_total,
     max_nontrivial_character_sum,
-    point_set,
     polya_vinogradov_bound,
     sidon_character_bound,
     verify_sidon,
@@ -51,25 +51,41 @@ def test_verify_sidon_small_graphs():
     assert verify_sidon(build_graph(GroupParams(3, 2))).ok
 
 
+def _dense_difference_counts(graph):
+    """Oracle: every ordered pair's difference encoded as u*(p-1) + v and
+    counted in one bincount over the p*(p-1) grid."""
+    p, d = graph.p, graph.d
+    second = np.arange(d)
+    codes = (graph.first[:, None] - graph.first[None, :]) % p * d
+    codes += (second[:, None] - second[None, :]) % d
+    return np.bincount(codes.ravel(), minlength=p * d)
+
+
 def test_verify_sidon_failure_witness():
-    # An arithmetic progression is not Sidon.
-    graph = point_set(5, [(0, 0), (1, 0), (2, 0), (3, 0)])
+    # The arithmetic progression t[y] = y is not Sidon: the pairs at lag v
+    # that do not wrap all differ by (v, v).
+    graph = SidonGraph(p=5, g=0, first=np.arange(4))
     check = verify_sidon(graph)
     assert not check.ok
-    (a, b), (c, e) = check.witness
-    assert (a, b) != (c, e)
-    diff1 = ((a[0] - b[0]) % 5, (a[1] - b[1]) % 4)
-    diff2 = ((c[0] - e[0]) % 5, (c[1] - e[1]) % 4)
-    assert diff1 == diff2 == (1, 0)
+    assert check.witness == (((1, 1), (0, 0)), ((2, 2), (1, 1)))
+    # (0, 0), then (v, v) and, across the wrap, (v - 4 mod 5, v) for v = 1, 2, 3
+    assert check.diff_set_size == 7
 
 
-def test_point_set_validation():
+def test_graph_table_validation():
     with pytest.raises(ValueError):
-        point_set(5, [(0, 0), (0, 0)])  # duplicates
+        SidonGraph(p=5, g=0, first=np.arange(3))  # too short
     with pytest.raises(ValueError):
-        point_set(5, [(5, 0)])  # first coordinate out of range
+        SidonGraph(p=5, g=0, first=np.arange(5))  # too long
     with pytest.raises(ValueError):
-        point_set(5, [(0, 4)])  # second coordinate out of range
+        SidonGraph(p=5, g=0, first=np.array([0, 1, 2, 5]))  # value outside Z_5
+    with pytest.raises(ValueError):
+        SidonGraph(p=5, g=0, first=np.array([0, -1, 2, 3]))
+    with pytest.raises(ValueError):
+        SidonGraph(p=2, g=0, first=np.array([1]))  # no p >= 3
+    assert SidonGraph(p=5, g=0, first=np.array([0, 0, 4, 4])).points == [
+        (0, 0), (0, 1), (4, 2), (4, 3)
+    ]
 
 
 @pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 17, 19, 23, 29, 31])
@@ -93,43 +109,60 @@ def test_difference_set_size_at_1009():
     assert verify_sidon(graph).diff_set_size == 1008**2 - 1008 + 1 == 1015057
 
 
-@settings(max_examples=25, deadline=None)
-@given(
-    st.sampled_from([5, 7, 11, 13]),
-    st.data(),
-)
-def test_random_point_sets_match_oracle(p, data):
-    """verify_sidon's verdict, difference-set size and witness must agree
-    with the brute-force count on arbitrary synthetic sets."""
+def _first_collision_witness(points, p):
+    """Oracle for the witness: the first colliding difference in (v, u)
+    order, realized by the pairs (a, b) of its two smallest exponents b."""
     d = p - 1
-    coords = st.tuples(st.integers(0, p - 1), st.integers(0, d - 1))
-    points = data.draw(st.lists(coords, min_size=2, max_size=16, unique=True))
-    graph = point_set(p, points)
     counts = _brute_force_difference_counts(points, p)
-    check = verify_sidon(graph)
-    assert check.ok == (max(counts.values()) <= 1)
-    assert check.diff_set_size == len(counts) + 1
-    if check.ok:
-        assert check.witness is None
-        return
-    smallest = min(diff for diff, count in counts.items() if count > 1)
-    pairs = [
-        (a, b)
+    v, u = min((v, u) for (u, v), count in counts.items() if count > 1)
+    pairs = sorted(
+        (b[1], (a, b))
         for a in points
         for b in points
-        if ((a[0] - b[0]) % p, (a[1] - b[1]) % d) == smallest
-    ]
-    assert check.witness == (pairs[0], pairs[1])
+        if ((a[0] - b[0]) % p, (a[1] - b[1]) % d) == (u, v)
+    )
+    return pairs[0][1], pairs[1][1]
 
 
-def _dense_character_maximum(graph):
-    """Oracle: every character sum at once as the 2-D FFT of the indicator
-    array on the Z_p x Z_{p-1} grid (entry (s, t) is the conjugate of the
-    sum), maximized over the nontrivial characters; the index is the first
-    in row-major order within a relative 1e-9 of the maximum."""
-    p, d = graph.p, graph.d
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from([3, 5, 7, 11, 13, 17, 131, 137]),
+    st.data(),
+)
+def test_random_tables_match_oracle(p, data):
+    """Verdict, difference-set size and witness agree with the
+    brute-force count and the dense grid on arbitrary tables
+    t: Z_{p-1} -> Z_p, most of them not Sidon.  At 131 and 137 a block
+    holds 126 and 120 lags, so the 129 and 135 lags span two blocks."""
+    d = p - 1
+    values = data.draw(
+        st.one_of(
+            st.permutations(range(1, p)),  # injective, like a power table
+            st.lists(st.integers(0, p - 1), min_size=d, max_size=d),
+        )
+    )
+    graph = SidonGraph(p=p, g=0, first=np.array(values, dtype=np.int64))
+    points = graph.points
+    counts = _brute_force_difference_counts(points, p)
+    dense = _dense_difference_counts(graph)
+    check = verify_sidon(graph)
+    assert check.ok == (max(counts.values()) <= 1) == (dense[1:].max() <= 1)
+    assert check.diff_set_size == len(counts) + 1 == np.count_nonzero(dense)
+    if check.ok:
+        assert check.witness is None
+    else:
+        assert check.witness == _first_collision_witness(points, p)
+
+
+def _dense_character_maximum(p, first, second):
+    """Oracle: every character sum of the points (first[i], second[i]) at
+    once as the 2-D FFT of the indicator array on the Z_p x Z_{p-1} grid
+    (entry (s, t) is the conjugate of the sum), maximized over the
+    nontrivial characters; the index is the first in row-major order
+    within a relative 1e-9 of the maximum."""
+    d = p - 1
     indicator = np.zeros((p, d))
-    indicator[graph.first, graph.second] = 1.0
+    indicator[first, second] = 1.0
     magnitudes = np.abs(np.fft.fft2(indicator))
     magnitudes[0, 0] = -1.0  # exclude the trivial character
     peak = float(magnitudes.max())
@@ -222,7 +255,7 @@ def test_argmax_is_first_index_of_the_tie(p):
         assert chi == CharacterIndex(1, 1)
     # the oracle's rule: with one point every character has magnitude 1,
     # so (0, 1) comes first
-    _, chi = _dense_character_maximum(point_set(p, [(1, 0)]))
+    _, chi = _dense_character_maximum(p, [1], [0])
     assert chi == CharacterIndex(0, 1)
 
 
@@ -233,7 +266,7 @@ def test_max_matches_dense_grid(p):
     for g in all_generators(p):
         params = GroupParams(p, g)
         value, chi = max_nontrivial_character_sum(params)
-        dense_value, dense_chi = _dense_character_maximum(build_graph(params))
+        dense_value, dense_chi = _dense_character_maximum(p, build_graph(params).first, range(p - 1))
         assert value == pytest.approx(dense_value, rel=1e-12, abs=0), g
         assert chi == dense_chi, g
 
