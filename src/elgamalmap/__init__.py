@@ -11,7 +11,7 @@ Library layout:
 - cli: the `elgamalmap` command-line harness
 """
 
-from .discrepancy import Box, BoxRecord, DiscrepancyReport, count_in_box, sweep, theorem_bound
+from .discrepancy import DiscrepancyReport, count_in_box, sweep, theorem_bound
 from .elgamal import Permutation, Signature, elgamal_permutation, sign, verify
 from .numth import (
     FactoredInteger,
@@ -42,7 +42,6 @@ from .sidon import (
     SidonCheck,
     SidonGraph,
     build_graph,
-    character_sum,
     incomplete_exponential_sum_total,
     max_nontrivial_character_sum,
     polya_vinogradov_bound,

@@ -187,6 +187,11 @@ def _cmd_random_baseline(args) -> bool:
     _require_count(args.degree, "--degree", 1, MAX_TABLE_MODULUS)
     _require_count(args.samples, "--samples", 1, MAX_DENSE_CELLS)
     _require_dense(args.degree * args.samples, f"--degree {args.degree} --samples {args.samples}")
+    # the recurrence of the exact baseline reads n(n+1)/2 cells
+    _require_dense(
+        args.degree * (args.degree + 1) // 2, f"the baseline of --degree {args.degree}",
+        MAX_FAMILY_CELLS,
+    )
     counts = random_cycle_counts(args.degree, args.samples, args.seed)
     rows = _cycle_count_table(args.degree, counts)
     _emit(_table(["c", "theory_percent", "random_percent"], rows, args.format), args.out)
@@ -269,7 +274,7 @@ def _cmd_polya(args) -> bool:
     if args.n > MAX_TABLE_MODULUS:
         raise InputError(f"--n {args.n} is above the supported maximum {MAX_TABLE_MODULUS}")
     try:
-        total = incomplete_exponential_sum_total(args.n, args.window, args.shift)
+        total = incomplete_exponential_sum_total(args.n, args.window)
     except ValueError as exc:
         raise InputError(str(exc)) from None
     bound = polya_vinogradov_bound(args.n)
@@ -302,11 +307,9 @@ def _cmd_discrepancy(args) -> bool:
     bound = theorem_bound(p)
     ok = report.max_deviation <= bound
     if args.out:
-        rows = [
-            (r.box.h, r.box.N, r.box.k, r.box.M, r.hits, r.expected,
-             r.deviation, r.ratio, int(r.large_box))
-            for r in report.records
-        ]
+        columns = (*report.boxes.T, report.hits, report.expected, report.deviation,
+                   report.ratio, report.large_box.astype(np.int64))
+        rows = list(zip(*(column.tolist() for column in columns)))
         _emit(
             _table(
                 ["h", "N", "k", "M", "hits", "expected", "deviation", "ratio", "large_box"],
@@ -321,7 +324,7 @@ def _cmd_discrepancy(args) -> bool:
                 "p": p,
                 "generator": params.g,
                 "seed": args.seed,
-                "num_boxes": len(report.records),
+                "num_boxes": len(report.boxes),
                 "max_deviation": report.max_deviation,
                 "bound": bound,
                 "max_ratio": report.max_ratio,

@@ -16,8 +16,6 @@ import numpy as np
 from .sidon import SidonGraph
 
 __all__ = [
-    "Box",
-    "BoxRecord",
     "DiscrepancyReport",
     "count_in_box",
     "theorem_bound",
@@ -25,28 +23,11 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Box:
-    """The window {h+1, ..., h+N} x {k+1, ..., k+M}, each factor reduced
-    modulo its group order (p and p-1 respectively), so windows may
-    wrap.  N and M are the window lengths; cardinality is N*M."""
-
-    h: int
-    N: int
-    k: int
-    M: int
-
-    def __post_init__(self) -> None:
-        if self.N < 1 or self.M < 1:
-            raise ValueError("window lengths must be >= 1")
-
-    @property
-    def cardinality(self) -> int:
-        return self.N * self.M
-
-
-def count_in_box(graph: SidonGraph, box: Box) -> int:
-    """Number of graph points inside the box.
+def count_in_box(graph: SidonGraph, h: int, N: int, k: int, M: int) -> int:
+    """Number of graph points inside the box {h+1, ..., h+N} x
+    {k+1, ..., k+M}, each window reduced modulo its group order (p and
+    p-1 respectively), so windows may wrap.  The lengths must satisfy
+    1 <= N <= p and 1 <= M <= p-1.
 
     Walks the M exponents of the second window as one or two contiguous
     slices of the power table and tests the first coordinate by the
@@ -54,14 +35,14 @@ def count_in_box(graph: SidonGraph, box: Box) -> int:
     O(M).
     """
     p, d = graph.p, graph.d
-    if box.N > p or box.M > d:
-        raise ValueError(f"box {box} exceeds the {p} x {d} grid")
-    start = (box.k + 1) % d
-    if start + box.M <= d:
-        values = graph.first[start : start + box.M]
+    if not (1 <= N <= p and 1 <= M <= d):
+        raise ValueError(f"box ({h}, {N}, {k}, {M}) needs 1 <= N <= {p} and 1 <= M <= {d}")
+    start = (k + 1) % d
+    if start + M <= d:
+        values = graph.first[start : start + M]
     else:
-        values = np.concatenate([graph.first[start:], graph.first[: start + box.M - d]])
-    return int(np.count_nonzero((values - box.h - 1) % p < box.N))
+        values = np.concatenate([graph.first[start:], graph.first[: start + M - d]])
+    return int(np.count_nonzero((values - h - 1) % p < N))
 
 
 def theorem_bound(p: int) -> float:
@@ -71,44 +52,30 @@ def theorem_bound(p: int) -> float:
     return 50.0 * math.sqrt(p) * math.log(p) ** 2
 
 
-@dataclass(frozen=True)
-class BoxRecord:
-    """One box measurement.  `ratio` is deviation / (sqrt(p) * ln(p)**2),
-    so the bound holds iff ratio <= 50.  `large_box` flags boxes whose
-    cardinality exceeds p**1.5 * ln(p)**2, the size regime where the
-    relative deviation is expected to shrink."""
-
-    box: Box
-    hits: int
-    expected: float
-    deviation: float
-    ratio: float
-    large_box: bool
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DiscrepancyReport:
-    """All box measurements of one sweep, plus their maxima."""
+    """All box measurements of one sweep as columns, one entry per box in
+    generation order, plus their maxima.
+
+    `boxes` is an (n, 4) int64 array of rows (h, N, k, M), the arguments
+    of `count_in_box`; the other columns are 1-D arrays of length n.
+    `expected` is N*M / p and `deviation` is |hits - expected|.  `ratio`
+    is deviation / (sqrt(p) * ln(p)**2), so the bound holds iff
+    ratio <= 50.  `large_box` flags boxes whose cardinality N*M exceeds
+    p**1.5 * ln(p)**2, the size regime where the relative deviation is
+    expected to shrink.
+    """
 
     p: int
     g: int
-    records: tuple[BoxRecord, ...]
+    boxes: np.ndarray
+    hits: np.ndarray
+    expected: np.ndarray
+    deviation: np.ndarray
+    ratio: np.ndarray
+    large_box: np.ndarray
     max_deviation: float
     max_ratio: float
-
-
-def _measure(graph: SidonGraph, box: Box, scale: float, size_threshold: float) -> BoxRecord:
-    hits = count_in_box(graph, box)
-    expected = box.cardinality / graph.p
-    deviation = abs(hits - expected)
-    return BoxRecord(
-        box=box,
-        hits=hits,
-        expected=expected,
-        deviation=deviation,
-        ratio=deviation / scale,
-        large_box=box.cardinality > size_threshold,
-    )
 
 
 def sweep(graph: SidonGraph, num_random_boxes: int, seed: int) -> DiscrepancyReport:
@@ -117,40 +84,48 @@ def sweep(graph: SidonGraph, num_random_boxes: int, seed: int) -> DiscrepancyRep
     sample of p-1 of each kind), and `num_random_boxes` boxes with
     uniformly drawn position and size.
 
-    Reporting only; nothing is asserted.  The record order is the
-    generation order and depends only on the seed.
+    Reporting only; nothing is asserted.  The box order is the
+    generation order and depends only on the seed.  The random boxes
+    come from one draw whose bounds repeat (h, N, k, M) once per box,
+    which yields the stream of four scalar draws per box.
     """
     if num_random_boxes < 0:
         raise ValueError("num_random_boxes must be >= 0")
     p, d = graph.p, graph.d
     rng = np.random.default_rng(seed)
-    scale = math.sqrt(p) * math.log(p) ** 2
-    size_threshold = p**1.5 * math.log(p) ** 2
 
-    boxes = [Box(h=0, N=p, k=0, M=d)]
     if p <= 101:
-        rows = range(p)
-        cols = range(d)
+        rows, cols = np.arange(p), np.arange(d)
     else:
-        rows = sorted(int(v) for v in rng.choice(p, size=d, replace=False))
-        cols = sorted(int(v) for v in rng.choice(d, size=d, replace=False))
-    boxes.extend(Box(h=h, N=1, k=0, M=d) for h in rows)
-    boxes.extend(Box(h=0, N=p, k=k, M=1) for k in cols)
-    for _ in range(num_random_boxes):
-        boxes.append(
-            Box(
-                h=int(rng.integers(0, p)),
-                N=int(rng.integers(1, p + 1)),
-                k=int(rng.integers(0, d)),
-                M=int(rng.integers(1, d + 1)),
-            )
-        )
+        rows = np.sort(rng.choice(p, size=d, replace=False))
+        cols = np.sort(rng.choice(d, size=d, replace=False))
+    random_boxes = rng.integers(
+        np.tile([0, 1, 0, 1], num_random_boxes), np.tile([p, p + 1, d, d + 1], num_random_boxes)
+    )
+    boxes = np.concatenate(
+        [
+            [[0, p, 0, d]],
+            np.column_stack(np.broadcast_arrays(rows, 1, 0, d)),
+            np.column_stack(np.broadcast_arrays(0, p, cols, 1)),
+            random_boxes.reshape(-1, 4),
+        ],
+        dtype=np.int64,
+    )
 
-    records = tuple(_measure(graph, box, scale, size_threshold) for box in boxes)
+    hits = np.array([count_in_box(graph, *box) for box in boxes.tolist()], dtype=np.int64)
+    cardinality = boxes[:, 1] * boxes[:, 3]
+    expected = cardinality / p
+    deviation = np.abs(hits - expected)
+    ratio = deviation / (math.sqrt(p) * math.log(p) ** 2)
     return DiscrepancyReport(
         p=p,
         g=graph.g,
-        records=records,
-        max_deviation=max(r.deviation for r in records),
-        max_ratio=max(r.ratio for r in records),
+        boxes=boxes,
+        hits=hits,
+        expected=expected,
+        deviation=deviation,
+        ratio=ratio,
+        large_box=cardinality > p**1.5 * math.log(p) ** 2,
+        max_deviation=float(deviation.max()),
+        max_ratio=float(ratio.max()),
     )

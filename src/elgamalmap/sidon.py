@@ -35,7 +35,6 @@ __all__ = [
     "SidonCheck",
     "build_graph",
     "verify_sidon",
-    "character_sum",
     "max_nontrivial_character_sum",
     "incomplete_exponential_sum_total",
     "polya_vinogradov_bound",
@@ -143,30 +142,6 @@ class CharacterIndex:
     s: int
     t: int
 
-    @property
-    def is_trivial(self) -> bool:
-        return self.s == 0 and self.t == 0
-
-
-def _roots_of_unity(n: int) -> np.ndarray:
-    return np.exp(2j * np.pi * np.arange(n) / n)
-
-
-def character_sum(graph: SidonGraph, chi: CharacterIndex) -> float:
-    """|sum over points of exp(2*pi*i*(s*x/p + t*y/(p-1)))|.
-
-    Phases are reduced to exact integer indices into root-of-unity
-    tables before exponentiation, so no precision is lost to large
-    arguments.
-    """
-    p, d = graph.p, graph.d
-    if not (0 <= chi.s < p and 0 <= chi.t < d):
-        raise ValueError(f"character index ({chi.s}, {chi.t}) outside [0,{p}) x [0,{d})")
-    wp = _roots_of_unity(p)
-    wd = _roots_of_unity(d)
-    terms = wp[(chi.s * graph.first) % p] * wd[(chi.t * np.arange(d)) % d]
-    return float(abs(terms.sum()))
-
 
 def max_nontrivial_character_sum(params: GroupParams) -> tuple[float, CharacterIndex]:
     """Largest character-sum magnitude over all p*(p-1) - 1 nontrivial
@@ -187,14 +162,14 @@ def max_nontrivial_character_sum(params: GroupParams) -> tuple[float, CharacterI
     return peak, CharacterIndex(1, int(np.argmax(row >= peak * (1.0 - 1e-9))))
 
 
-def incomplete_exponential_sum_total(n: int, N: int, h: int) -> float:
-    """sum over a in [0, n) of |sum over the window x in [h, h+N) of
-    exp(2*pi*i*a*x/n)|.
+def incomplete_exponential_sum_total(n: int, N: int) -> float:
+    """sum over a in [0, n) of |sum over a window x in [h, h+N) of
+    exp(2*pi*i*a*x/n)|, for any start h.
 
     The window length N must satisfy 1 <= N < n.  Each inner sum is a
     geometric series of magnitude N at a = 0 and
     |sin(pi*(a*N mod n)/n) / sin(pi*a/n)| otherwise, so the total takes
-    O(n) and does not depend on the start h, which may be any integer.
+    O(n) and does not depend on h.
     """
     _check_window(n, N)
     a = np.arange(1, n, dtype=np.int64)

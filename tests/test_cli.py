@@ -137,14 +137,21 @@ def test_polya_json(capsys):
 
 
 def test_polya_shift_matches(capsys):
-    _, out0 = run(capsys, "polya", "--n", "4", "--window", "2", "--shift", "0")
-    _, out9 = run(capsys, "polya", "--n", "4", "--window", "2", "--shift", "9")
-    # far outside int64: once numpy's OverflowError traceback
-    code, out_big = run(capsys, "polya", "--n", "4", "--window", "2", "--shift", str(10**20))
-    assert code == 0
-    total0 = json.loads(out0)["total"]
-    assert json.loads(out9)["total"] == pytest.approx(total0, abs=1e-9)
-    assert json.loads(out_big)["total"] == pytest.approx(total0, abs=1e-9)
+    """`total` is the same float at every --shift, which is only echoed;
+    10**20 is far outside int64, once numpy's OverflowError traceback."""
+    cases = [
+        ("4", "2", [0, 9, 10**20]),
+        ("4000", "2000", [*range(50), 3999, -1, 10**20 + 7]),
+    ]
+    for n, window, shifts in cases:
+        totals = set()
+        for h in shifts:
+            code, out = run(capsys, "polya", "--n", n, "--window", window, "--shift", str(h))
+            assert code == 0, (n, h)
+            doc = json.loads(out)
+            assert doc["shift"] == h
+            totals.add(doc["total"])
+        assert len(totals) == 1, (n, totals)
 
 
 def test_polya_bad_window_is_usage_error(capsys):
@@ -246,6 +253,15 @@ def test_composite_prime_is_input_error(capsys):
             ["random-baseline", "--degree", "1000000000", "--samples", "1"],
             id="random-baseline-degree",
         ),
+        # the exact baseline's n(n+1)/2 cells above MAX_FAMILY_CELLS: once minutes of work
+        pytest.param(
+            ["random-baseline", "--degree", "1000000", "--samples", "1"],
+            id="random-baseline-stirling",
+        ),
+        pytest.param(
+            ["random-baseline", "--degree", "11585", "--samples", "1"],
+            id="random-baseline-first-degree-outside",
+        ),
         pytest.param(["kcycles", "--prime", "5", "--k-max", "100000000"], id="kcycles-k-max"),
         pytest.param(
             ["discrepancy", "--prime", "101", "--boxes", "100000000"], id="discrepancy-boxes"
@@ -297,6 +313,16 @@ def test_sweep_envelope_edges():
     benchmark's 20000 boxes at 10007; 23173 is the first prime outside."""
     assert 23166 * (23167 + 2) <= cli.MAX_SWEEP_CELLS < 23172 * (23173 + 2)
     assert 10006 * (10007 + 2 + 20000) <= cli.MAX_SWEEP_CELLS
+
+
+def test_stirling_envelope_edge(capsys):
+    """The exact baseline's recurrence reads n(n+1)/2 cells: every degree
+    up to 11584 is admitted, which covers the degree 10006 of
+    `cycle-dist --prime 10007`, and 11585 is the first degree outside."""
+    assert 10006 * 10007 // 2 <= 11584 * 11585 // 2 <= cli.MAX_FAMILY_CELLS < 11585 * 11586 // 2
+    code, out = run(capsys, "random-baseline", "--degree", "11584", "--samples", "1")
+    assert code == 0
+    assert out.splitlines()[0] == "c,theory_percent,random_percent"
 
 
 def test_sidon_counts_past_the_old_dense_cap(capsys):

@@ -3,39 +3,66 @@ import math
 import numpy as np
 import pytest
 
-from elgamalmap.discrepancy import Box, count_in_box, sweep, theorem_bound
+from elgamalmap.discrepancy import count_in_box, sweep, theorem_bound
 from elgamalmap.numth import GroupParams, smallest_generator
 from elgamalmap.sidon import build_graph
 
 
-def _naive_count(graph, box):
+def _naive_count(graph, h, N, k, M):
     """Oracle: test both coordinates of every point individually."""
     p, d = graph.p, graph.d
-    in_first = (graph.first - box.h - 1) % p < box.N
-    in_second = (np.arange(graph.d) - box.k - 1) % d < box.M
+    in_first = (graph.first - h - 1) % p < N
+    in_second = (np.arange(graph.d) - k - 1) % d < M
     return int(np.count_nonzero(in_first & in_second))
+
+
+_COLUMNS = ("boxes", "hits", "expected", "deviation", "ratio", "large_box")
+
+
+def _scalar_sweep(graph, num_random_boxes, seed):
+    """Oracle: the sweep one box at a time, with four scalar draws per
+    random box and the per-box formulas, as one list per name in
+    _COLUMNS."""
+    p, d = graph.p, graph.d
+    rng = np.random.default_rng(seed)
+    scale = math.sqrt(p) * math.log(p) ** 2
+    size_threshold = p**1.5 * math.log(p) ** 2
+    boxes = [[0, p, 0, d]]
+    if p <= 101:
+        rows, cols = range(p), range(d)
+    else:
+        rows = sorted(int(v) for v in rng.choice(p, size=d, replace=False))
+        cols = sorted(int(v) for v in rng.choice(d, size=d, replace=False))
+    boxes.extend([h, 1, 0, d] for h in rows)
+    boxes.extend([0, p, k, 1] for k in cols)
+    for _ in range(num_random_boxes):
+        h = int(rng.integers(0, p))
+        N = int(rng.integers(1, p + 1))
+        k = int(rng.integers(0, d))
+        M = int(rng.integers(1, d + 1))
+        boxes.append([h, N, k, M])
+    hits = [count_in_box(graph, *box) for box in boxes]
+    expected = [N * M / p for _, N, _, M in boxes]
+    deviation = [abs(hit - e) for hit, e in zip(hits, expected)]
+    ratio = [dev / scale for dev in deviation]
+    large_box = [N * M > size_threshold for _, N, _, M in boxes]
+    return boxes, hits, expected, deviation, ratio, large_box
 
 
 def test_count_in_box_examples():
     graph = build_graph(GroupParams(5, 2))
-    assert count_in_box(graph, Box(h=0, N=5, k=0, M=4)) == 4  # full box
+    assert count_in_box(graph, 0, 5, 0, 4) == 4  # full box
     # first coordinates in {1, 2}: points (1,0) and (2,1)
-    box = Box(h=0, N=2, k=-1, M=4)
-    assert count_in_box(graph, box) == 2
-    assert box.cardinality / 5 == pytest.approx(1.6)
-    assert count_in_box(graph, Box(h=0, N=1, k=0, M=4)) == 1  # only g**x = 1
+    assert count_in_box(graph, 0, 2, -1, 4) == 2
+    assert count_in_box(graph, 0, 1, 0, 4) == 1  # only g**x = 1
 
 
 def test_box_validation():
-    with pytest.raises(ValueError):
-        Box(h=0, N=0, k=0, M=1)
-    with pytest.raises(ValueError):
-        Box(h=0, N=1, k=0, M=0)
+    """Window lengths outside 1 <= N <= p, 1 <= M <= p-1 are rejected."""
     graph = build_graph(GroupParams(5, 2))
-    with pytest.raises(ValueError):
-        count_in_box(graph, Box(h=0, N=6, k=0, M=4))
-    with pytest.raises(ValueError):
-        count_in_box(graph, Box(h=0, N=5, k=0, M=5))
+    for N, M in [(0, 1), (1, 0), (6, 4), (5, 5)]:
+        with pytest.raises(ValueError):
+            count_in_box(graph, 0, N, 0, M)
 
 
 def test_theorem_bound_examples():
@@ -52,13 +79,13 @@ def test_count_matches_naive_oracle(p):
     d = p - 1
     rng = np.random.default_rng(p)
     for _ in range(500):
-        box = Box(
-            h=int(rng.integers(0, p)),
-            N=int(rng.integers(1, p + 1)),
-            k=int(rng.integers(0, d)),
-            M=int(rng.integers(1, d + 1)),
+        box = (
+            int(rng.integers(0, p)),
+            int(rng.integers(1, p + 1)),
+            int(rng.integers(0, d)),
+            int(rng.integers(1, d + 1)),
         )
-        assert count_in_box(graph, box) == _naive_count(graph, box)
+        assert count_in_box(graph, *box) == _naive_count(graph, *box)
 
 
 def test_window_split_additivity():
@@ -71,9 +98,9 @@ def test_window_split_additivity():
         n1 = int(rng.integers(1, total_n))
         k = int(rng.integers(0, 100))
         m = int(rng.integers(1, 101))
-        whole = count_in_box(graph, Box(h=h, N=total_n, k=k, M=m))
-        left = count_in_box(graph, Box(h=h, N=n1, k=k, M=m))
-        right = count_in_box(graph, Box(h=h + n1, N=total_n - n1, k=k, M=m))
+        whole = count_in_box(graph, h, total_n, k, m)
+        left = count_in_box(graph, h, n1, k, m)
+        right = count_in_box(graph, h + n1, total_n - n1, k, m)
         assert whole == left + right
 
 
@@ -81,17 +108,17 @@ def test_window_split_additivity():
 def test_full_width_boxes_have_zero_deviation(wrap_k):
     graph = build_graph(GroupParams(101, 2))
     for m in (1, 7, 100):
-        box = Box(h=0, N=101, k=wrap_k, M=m)
-        hits = count_in_box(graph, box)
+        hits = count_in_box(graph, 0, 101, wrap_k, m)
         assert hits == m
-        assert abs(hits - box.cardinality / 101) == 0.0
+        assert abs(hits - 101 * m / 101) == 0.0
 
 
 def test_sweep_p5_structured_only():
     report = sweep(build_graph(GroupParams(5, 2)), num_random_boxes=0, seed=0)
     # full box + 5 single-row + 4 single-column boxes
-    assert len(report.records) == 10
-    assert report.records[0].deviation == 0.0  # the full box, exactly
+    assert report.boxes.shape == (10, 4) and report.boxes.dtype == np.int64
+    assert report.boxes[0].tolist() == [0, 5, 0, 4]
+    assert report.deviation[0] == 0.0  # the full box, exactly
     assert report.max_deviation < 1.6  # worst structured box on 4 points
     assert report.max_ratio < 1.0  # far below the bound's factor 50
     assert report.max_deviation <= theorem_bound(5)
@@ -101,16 +128,34 @@ def test_sweep_is_deterministic():
     graph = build_graph(GroupParams(101, 2))
     a = sweep(graph, num_random_boxes=50, seed=11)
     b = sweep(graph, num_random_boxes=50, seed=11)
-    assert a == b
+    for name in _COLUMNS:
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
+    assert (a.max_deviation, a.max_ratio) == (b.max_deviation, b.max_ratio)
     c = sweep(graph, num_random_boxes=50, seed=12)
-    assert [r.box for r in c.records] != [r.box for r in a.records]
+    assert not np.array_equal(c.boxes, a.boxes)
+
+
+@pytest.mark.parametrize("num_random_boxes", [0, 1, 50])
+@pytest.mark.parametrize("seed", [0, 7])
+@pytest.mark.parametrize("p", [3, 5, 17, 101, 257, 1009])
+def test_sweep_matches_scalar_oracle(p, seed, num_random_boxes):
+    """The column sweep equals the per-box loop exactly: the same draws
+    in the same order, counts and float columns.  At p = 17 and 257 the
+    bounds p-1 on k and M are powers of two."""
+    graph = build_graph(smallest_generator(p))
+    report = sweep(graph, num_random_boxes, seed)
+    oracle = _scalar_sweep(graph, num_random_boxes, seed)
+    for name, want in zip(_COLUMNS, oracle):
+        assert getattr(report, name).tolist() == want, name
+    assert report.max_deviation == max(oracle[3])
+    assert report.max_ratio == max(oracle[4])
 
 
 def test_sweep_maxima_match_records():
     report = sweep(build_graph(GroupParams(101, 2)), num_random_boxes=25, seed=4)
-    assert report.max_deviation == max(r.deviation for r in report.records)
-    assert report.max_ratio == max(r.ratio for r in report.records)
-    assert all(r.ratio >= 0 for r in report.records)
+    assert report.max_deviation == report.deviation.max()
+    assert report.max_ratio == report.ratio.max()
+    assert (report.ratio >= 0).all()
 
 
 def test_large_box_flag():
@@ -118,15 +163,15 @@ def test_large_box_flag():
     graph = build_graph(GroupParams(p, 2))
     report = sweep(graph, num_random_boxes=0, seed=0)
     threshold = p**1.5 * math.log(p) ** 2
-    for record in report.records:
-        assert record.large_box == (record.box.cardinality > threshold)
+    cardinality = report.boxes[:, 1] * report.boxes[:, 3]
+    assert report.large_box.tolist() == [int(c) > threshold for c in cardinality]
     # at p=101 even the full box (cardinality p*(p-1)) stays below p**1.5 ln(p)**2
-    assert not report.records[0].large_box
+    assert not report.large_box[0]
 
 
 def test_ratio_scaling():
     p = 101
     report = sweep(build_graph(GroupParams(p, 2)), num_random_boxes=10, seed=9)
     scale = math.sqrt(p) * math.log(p) ** 2
-    for record in report.records:
-        assert record.ratio == pytest.approx(record.deviation / scale, rel=1e-12)
+    for ratio, deviation in zip(report.ratio.tolist(), report.deviation.tolist()):
+        assert ratio == pytest.approx(deviation / scale, rel=1e-12)
