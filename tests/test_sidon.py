@@ -1,3 +1,4 @@
+import json
 import math
 from collections import Counter
 
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from elgamalmap.cli import main
 from elgamalmap.numth import GroupParams, all_generators, smallest_generator
 from elgamalmap.sidon import (
     CharacterIndex,
@@ -307,6 +309,18 @@ def test_incomplete_sum_examples():
     assert incomplete_exponential_sum_total(4, 2) == pytest.approx(
         2 + 2 * math.sqrt(2), abs=1e-12
     )
+
+
+def test_total_is_the_same_float_for_every_shift(capsys):
+    """The window start h enters only as polya --shift, which is echoed;
+    the closed form never sees it, so no output digit depends on it."""
+    base = incomplete_exponential_sum_total(4000, 2000)
+    for h in [*range(50), 3999, -1, 10**20 + 7]:
+        code = main(["polya", "--n", "4000", "--window", "2000", "--shift", str(h)])
+        doc = json.loads(capsys.readouterr().out)
+        assert code == 0, h
+        assert doc["shift"] == h
+        assert doc["total"] == base, h
 
 
 def test_incomplete_sum_rejects_bad_window():
