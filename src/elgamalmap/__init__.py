@@ -20,6 +20,7 @@ from .numth import (
     euler_phi,
     factorize,
     generator_count,
+    generator_logs,
     is_prime,
     mod_inverse,
     mod_pow,
@@ -41,9 +42,9 @@ from .sidon import (
     CharacterIndex,
     SidonCheck,
     SidonGraph,
-    build_graph,
+    build_graphs,
     incomplete_exponential_sum_total,
-    max_nontrivial_character_sum,
+    max_nontrivial_character_sums,
     polya_vinogradov_bound,
     sidon_character_bound,
     verify_sidon,

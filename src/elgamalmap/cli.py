@@ -26,9 +26,9 @@ from .discrepancy import sweep, theorem_bound
 from .elgamal import sign, verify
 from .numth import (
     MAX_TABLE_MODULUS,
-    GroupParams,
     all_generators,
     generator_count,
+    generator_logs,
     is_prime,
     mod_pow,
     smallest_generator,
@@ -46,9 +46,9 @@ from .permstat import (
 )
 from .render import cycle_diagram_svg
 from .sidon import (
-    build_graph,
+    build_graphs,
     incomplete_exponential_sum_total,
-    max_nontrivial_character_sum,
+    max_nontrivial_character_sums,
     polya_vinogradov_bound,
     sidon_character_bound,
     verify_sidon,
@@ -93,11 +93,11 @@ def _require_family(p: int, cells_per_generator: int) -> None:
     )
 
 
-def _resolve_generators(p: int, selection: str) -> list[GroupParams]:
+def _resolve_generators(p: int, selection: str) -> list[int]:
     if selection == "smallest":
-        return [smallest_generator(p)]
+        return [smallest_generator(p).g]
     if selection == "all":
-        return [GroupParams(p, g) for g in all_generators(p)]
+        return all_generators(p)
     try:
         g = int(selection)
     except ValueError:
@@ -105,12 +105,13 @@ def _resolve_generators(p: int, selection: str) -> list[GroupParams]:
             f"--generator must be an integer, 'smallest', or 'all', got {selection!r}"
         ) from None
     try:
-        return [GroupParams(p, g)]
+        generator_logs(p, [g])
     except ValueError as exc:
         raise InputError(str(exc)) from None
+    return [g]
 
 
-def _resolve_single_generator(p: int, selection: str) -> GroupParams:
+def _resolve_single_generator(p: int, selection: str) -> int:
     if selection == "all":
         raise InputError("this subcommand needs a single generator, not 'all'")
     return _resolve_generators(p, selection)[0]
@@ -150,11 +151,8 @@ def _cmd_cycles(args) -> bool:
     p = _require_odd_prime(args.prime)
     if args.generator == "all":
         _require_family(p, p - 1)
-        generators = all_generators(p)
-    else:
-        generators = [_resolve_single_generator(p, args.generator).g]
     rows = []
-    for g, lengths in family_cycle_lengths(p, generators):
+    for g, lengths in family_cycle_lengths(p, _resolve_generators(p, args.generator)):
         multiplicity = Counter(lengths.tolist())
         rows.extend(
             (g, length, multiplicity[length]) for length in sorted(multiplicity, reverse=True)
@@ -222,20 +220,20 @@ def _cmd_fixed_points(args) -> bool:
 def _cmd_sidon(args) -> bool:
     p = _require_odd_prime(args.prime)
     # the kernel reads p*(p-1) ordered pairs per generator
-    count = generator_count(p) if args.generator == "all" else 1
-    _require_dense(
-        count * p * (p - 1), f"--prime {p} --generator {args.generator}", MAX_FAMILY_CELLS
-    )
+    if args.generator == "all":
+        _require_family(p, p * (p - 1))
+    else:
+        _require_dense(p * (p - 1), f"--prime {p} --generator {args.generator}", MAX_FAMILY_CELLS)
     expected = (p - 1) ** 2 - (p - 1) + 1
     results = []
     all_ok = True
-    for params in _resolve_generators(p, args.generator):
-        check = verify_sidon(build_graph(params))
+    for graph in build_graphs(p, _resolve_generators(p, args.generator)):
+        check = verify_sidon(graph)
         ok = check.ok and check.diff_set_size == expected
         all_ok &= ok
         results.append(
             {
-                "generator": params.g,
+                "generator": graph.g,
                 "ok": ok,
                 "diff_set_size": check.diff_set_size,
                 "expected_diff_set_size": expected,
@@ -252,13 +250,12 @@ def _cmd_char_sums(args) -> bool:
     bound = sidon_character_bound(p)
     results = []
     all_ok = True
-    for params in _resolve_generators(p, args.generator):
-        value, chi = max_nontrivial_character_sum(params)
+    for g, value, chi in max_nontrivial_character_sums(p, _resolve_generators(p, args.generator)):
         ok = value < bound
         all_ok &= ok
         results.append(
             {
-                "generator": params.g,
+                "generator": g,
                 "max_sum": value,
                 "bound": bound,
                 "argmax_s": chi.s,
@@ -302,8 +299,8 @@ def _cmd_discrepancy(args) -> bool:
     _require_dense(
         (p - 1) * (p + 2 + args.boxes), f"--prime {p} --boxes {args.boxes}", MAX_SWEEP_CELLS
     )
-    params = _resolve_single_generator(p, args.generator)
-    report = sweep(build_graph(params), args.boxes, args.seed)
+    [graph] = build_graphs(p, [_resolve_single_generator(p, args.generator)])
+    report = sweep(graph, args.boxes, args.seed)
     bound = theorem_bound(p)
     ok = report.max_deviation <= bound
     if args.out:
@@ -322,7 +319,7 @@ def _cmd_discrepancy(args) -> bool:
         _json(
             {
                 "p": p,
-                "generator": params.g,
+                "generator": graph.g,
                 "seed": args.seed,
                 "num_boxes": len(report.boxes),
                 "max_deviation": report.max_deviation,
@@ -338,8 +335,7 @@ def _cmd_discrepancy(args) -> bool:
 
 def _cmd_render_cycles(args) -> bool:
     p = _require_odd_prime(args.prime)
-    g = _resolve_single_generator(p, args.generator).g
-    [(_, lengths)] = family_cycle_lengths(p, [g])
+    [(_, lengths)] = family_cycle_lengths(p, [_resolve_single_generator(p, args.generator)])
     _emit(cycle_diagram_svg(lengths.tolist()), args.out)
     return True
 

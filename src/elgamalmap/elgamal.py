@@ -37,10 +37,6 @@ class Permutation:
         if sorted(self.image) != list(range(1, self.n + 1)):
             raise ValueError("image is not a bijection on {1..n}")
 
-    def image_of(self, i: int) -> int:
-        """Image of element i, 1 <= i <= n."""
-        return self.image[i - 1]
-
 
 def elgamal_permutation(params: GroupParams) -> Permutation:
     """The permutation x -> g**x mod p of {1, ..., p-1}."""

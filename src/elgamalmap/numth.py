@@ -5,7 +5,7 @@ inverses, primitive-root discovery for prime moduli, and the power table
 e -> g**e mod p that every experiment reads.  Everything here is a pure
 function of its arguments; only the power table is a numpy array, the
 rest operates on plain Python integers.  The experiments run at desk
-scale (moduli up to roughly 10**5), so trial division and a
+scale (moduli up to MAX_TABLE_MODULUS = 10**6), so trial division and a
 deterministic Miller-Rabin base set are entirely adequate.
 """
 
@@ -30,6 +30,7 @@ __all__ = [
     "generator_count",
     "MAX_TABLE_MODULUS",
     "power_table",
+    "generator_logs",
 ]
 
 # Witnesses making Miller-Rabin deterministic for all n < 3.3 * 10**24,
@@ -272,3 +273,19 @@ def power_table(p: int, g: int) -> np.ndarray:
         n += m
         step = step * step % p
     return table
+
+
+def generator_logs(p: int, generators: list[int]) -> tuple[np.ndarray, np.ndarray]:
+    """The power table of the smallest generator g0 mod p and its inverse
+    log (log[table[e]] = e; log[0] is unused), after the checks of
+    GroupParams on every entry of `generators`.  Every generator g = g0**j,
+    j = log[g], has g0's table read at j*x mod (p-1) as its power table."""
+    table = power_table(p, smallest_generator(p).g)
+    log = np.zeros(p, dtype=np.int64)
+    log[table] = np.arange(p - 1)
+    for g in generators:
+        if not 2 <= g <= p - 1:
+            raise ValueError(f"g must lie in [2, p-1], got {g}")
+        if gcd(int(log[g]), p - 1) != 1:
+            raise ValueError(f"{g} does not generate the group mod {p}")
+    return table, log

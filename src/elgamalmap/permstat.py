@@ -17,12 +17,11 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from dataclasses import dataclass
-from math import gcd
 
 import numpy as np
 
 from .elgamal import Permutation
-from .numth import power_table, smallest_generator
+from .numth import generator_logs
 
 __all__ = [
     "CycleCountDistribution",
@@ -87,9 +86,6 @@ class CycleCountDistribution:
             raise ValueError("cycle-count probabilities must sum to 1")
         if float(self.probs.min()) < 0.0:
             raise ValueError("cycle-count probabilities must be >= 0")
-
-    def mean(self) -> float:
-        return float(np.arange(self.n + 1) @ self.probs)
 
 
 def stirling_cycle_distribution(n: int) -> CycleCountDistribution:
@@ -186,21 +182,12 @@ def random_cycle_counts(n: int, samples: int, seed: int) -> list[int]:
     return counts
 
 
-def _discrete_logs(p: int) -> tuple[np.ndarray, np.ndarray]:
-    """The power table of the smallest generator g0 mod p and its inverse:
-    log[table[e]] = e for e in Z_{p-1}; log[0] is unused."""
-    table = power_table(p, smallest_generator(p).g)
-    log = np.zeros(p, dtype=np.int64)
-    log[table] = np.arange(p - 1)
-    return table, log
-
-
 def family_cycle_lengths(p: int, generators: list[int]) -> list[tuple[int, np.ndarray]]:
     """Cycle lengths of x -> g**x on {1..p-1} for every g in `generators`.
 
     Every generator is g = g0**j for the smallest generator g0 and a unit
     j mod p-1, so its image table is g0's power table read at
-    j*x mod (p-1); j is read off the inverse table.  The tables of many
+    j*x mod (p-1) (see `numth.generator_logs`).  The tables of many
     generators are decomposed together, in blocks of at most
     _BLOCK_CELLS cells.
 
@@ -212,17 +199,9 @@ def family_cycle_lengths(p: int, generators: list[int]) -> list[tuple[int, np.nd
         ValueError: if p is not an odd prime or an entry of `generators`
             is not a generator mod p.
     """
-    table, log = _discrete_logs(p)
+    table, log = generator_logs(p, generators)
     d = p - 1
-    exponents = []
-    for g in generators:
-        if not 2 <= g <= d:
-            raise ValueError(f"g must lie in [2, p-1], got {g}")
-        j = int(log[g])
-        if gcd(j, d) != 1:
-            raise ValueError(f"{g} does not generate the group mod {p}")
-        exponents.append(j)
-    js = np.array(exponents, dtype=np.int64)
+    js = log[np.array(generators, dtype=np.int64)]
     xmod = np.arange(1, p, dtype=np.int64) % d  # exponent of x = p-1 wraps to 0
     lengths: list[np.ndarray] = []
     for start, stop in _row_blocks(len(js), d):
@@ -299,7 +278,7 @@ def fixed_point_sweep(max_prime: int) -> list[tuple[int, float]]:
             rows.append((2, 1.0))
             continue
         d = p - 1
-        _, log = _discrete_logs(p)
+        _, log = generator_logs(p, [])
         xs = np.arange(1, p, dtype=np.int64)
         h = np.gcd(xs % d, d)
         solvable = np.gcd(log[xs], d) == h

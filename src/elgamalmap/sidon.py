@@ -9,14 +9,14 @@ group against the point set, and computes the incomplete exponential
 sums that control box equidistribution.
 
 The difference count reads all (p-1)**2 ordered pairs, one block of
-exponent lags at a time, in O(p) memory.  The largest character sum is
-one length-(p-1) FFT and the incomplete-sum total one O(n) pass over
-closed forms.
+exponent lags at a time, in O(p) memory.  The largest character sums of
+a whole generator family are one length-(p-1) FFT and the incomplete-sum
+total one O(n) pass over closed forms.
 
 Exponents are the residues {0, ..., p-2} of Z_{p-1}, the index set of
 `numth.power_table`; the permutation module reads the same table at
-x mod p-1 for x in {1, ..., p-1}.  Points are ordered
-(group element, exponent), i.e. the Z_p coordinate first.
+x mod p-1 for x in {1, ..., p-1}, and generator families read the
+smallest generator's one table.  Points are (group element, exponent).
 """
 
 from __future__ import annotations
@@ -26,16 +26,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numth import GroupParams, power_table
+from .numth import generator_logs
 from .permstat import _row_blocks
 
 __all__ = [
     "SidonGraph",
     "CharacterIndex",
     "SidonCheck",
-    "build_graph",
+    "build_graphs",
     "verify_sidon",
-    "max_nontrivial_character_sum",
+    "max_nontrivial_character_sums",
     "incomplete_exponential_sum_total",
     "polya_vinogradov_bound",
     "sidon_character_bound",
@@ -49,7 +49,7 @@ class SidonGraph:
     """The graph {(first[x], x) : x in Z_{p-1}} of a table
     first: Z_{p-1} -> Z_p, one point per exponent.
 
-    Genuine graphs from `build_graph` hold the power table of g; any
+    Genuine graphs from `build_graphs` hold the power table of g; any
     other table of p-1 values in [0, p) may be wrapped directly, so that
     the failure path of `verify_sidon` can be exercised.
     """
@@ -78,9 +78,13 @@ class SidonGraph:
         return [(int(u), v) for v, u in enumerate(self.first)]
 
 
-def build_graph(params: GroupParams) -> SidonGraph:
-    """The p-1 points (g**x, x), x ascending from 0."""
-    return SidonGraph(p=params.p, g=params.g, first=power_table(params.p, params.g))
+def build_graphs(p: int, generators: list[int]) -> list[SidonGraph]:
+    """The p-1 points (g**x, x), x ascending from 0, for every g in
+    `generators`, in the order given: g = g0**j reads the smallest
+    generator g0's one table at j*x mod (p-1)."""
+    table, log = generator_logs(p, generators)
+    x = np.arange(p - 1, dtype=np.int64)
+    return [SidonGraph(p=p, g=g, first=table[int(log[g]) * x % (p - 1)]) for g in generators]
 
 
 @dataclass(frozen=True)
@@ -143,23 +147,32 @@ class CharacterIndex:
     t: int
 
 
-def max_nontrivial_character_sum(params: GroupParams) -> tuple[float, CharacterIndex]:
-    """Largest character-sum magnitude over all p*(p-1) - 1 nontrivial
-    characters of the graph of x -> g**x, with its index.
+def max_nontrivial_character_sums(p: int, generators: list[int]) -> list[tuple]:
+    """(g, value, index) for every g in `generators`, in the order given:
+    the largest character-sum magnitude over all p*(p-1) - 1 nontrivial
+    characters of the graph of x -> g**x, and its CharacterIndex.
 
     Shifting x by k maps the sum at (s, t) to the one at (s*g**k, t)
     times a unit phase, so every row s != 0 has the magnitudes of row 1,
     and row 0 is exactly 0 for t != 0.  Row 1 is one length-(p-1) FFT of
     exp(2*pi*i*g**x/p); its entries for t != 0 are Gauss sums of
-    magnitude sqrt(p) (Ireland and Rosen, ch. 8).  The index is (1, t)
-    for the first t whose magnitude lies within a relative 1e-9 of the
-    maximum, which is (1, 1): the first index in row-major order of the
-    full grid, picked by a rule rather than by rounding noise.
+    magnitude sqrt(p) (Ireland and Rosen, ch. 8).  For g = g0**j the
+    row of g at t is the row of the smallest generator g0 at t*j**-1
+    mod p-1, so one FFT serves the family and every g gets the same
+    float.  The index is (1, t) for the first t whose magnitude lies
+    within a relative 1e-9 of the maximum, which is (1, 1): the first
+    index in row-major order of the full grid, picked by a rule rather
+    than by rounding noise.
     """
-    p = params.p
-    row = np.abs(np.fft.fft(np.exp(2j * np.pi * power_table(p, params.g) / p)))
+    table, log = generator_logs(p, generators)
+    row = np.abs(np.fft.fft(np.exp(2j * np.pi * table / p)))
     peak = float(row.max())
-    return peak, CharacterIndex(1, int(np.argmax(row >= peak * (1.0 - 1e-9))))
+    near = row >= peak * (1.0 - 1e-9)
+    inverses = [pow(int(log[g]), -1, p - 1) for g in generators]
+    return [
+        (g, peak, CharacterIndex(1, next(t for t in range(p - 1) if near[t * k % (p - 1)])))
+        for g, k in zip(generators, inverses)
+    ]
 
 
 def incomplete_exponential_sum_total(n: int, N: int) -> float:
@@ -171,16 +184,12 @@ def incomplete_exponential_sum_total(n: int, N: int) -> float:
     |sin(pi*(a*N mod n)/n) / sin(pi*a/n)| otherwise, so the total takes
     O(n) and does not depend on h.
     """
-    _check_window(n, N)
-    a = np.arange(1, n, dtype=np.int64)
-    return N + float(np.abs(np.sin(np.pi * (a * N % n) / n) / np.sin(np.pi * a / n)).sum())
-
-
-def _check_window(n: int, N: int) -> None:
     if n < 2:
         raise ValueError(f"modulus must be >= 2, got {n}")
     if not 1 <= N < n:
         raise ValueError(f"window length must satisfy 1 <= N < n, got N={N}, n={n}")
+    a = np.arange(1, n, dtype=np.int64)
+    return N + float(np.abs(np.sin(np.pi * (a * N % n) / n) / np.sin(np.pi * a / n)).sum())
 
 
 def polya_vinogradov_bound(n: int) -> float:

@@ -13,7 +13,6 @@ import numpy as np
 from elgamalmap.discrepancy import count_in_box, sweep, theorem_bound
 from elgamalmap.elgamal import sign, verify
 from elgamalmap.numth import (
-    GroupParams,
     all_generators,
     euler_phi,
     factorize,
@@ -30,9 +29,9 @@ from elgamalmap.permstat import (
 )
 from elgamalmap.sidon import (
     CharacterIndex,
-    build_graph,
+    build_graphs,
     incomplete_exponential_sum_total,
-    max_nontrivial_character_sum,
+    max_nontrivial_character_sums,
     sidon_character_bound,
     verify_sidon,
 )
@@ -70,10 +69,10 @@ def test_criterion_02_sidon_exactness():
         pairs = 0
         for p in _odd_primes_up_to(200):
             expected = (p - 1) ** 2 - (p - 1) + 1
-            for g in all_generators(p):
-                check = verify_sidon(build_graph(GroupParams(p, g)))
-                assert check.ok, (p, g)
-                assert check.diff_set_size == expected, (p, g)
+            for graph in build_graphs(p, all_generators(p)):
+                check = verify_sidon(graph)
+                assert check.ok, (p, graph.g)
+                assert check.diff_set_size == expected, (p, graph.g)
                 pairs += 1
         assert pairs > 1000  # sanity: the sweep really was exhaustive
 
@@ -82,8 +81,7 @@ def test_criterion_03_character_sum_bound_exhaustive():
     with _criterion(3, "every nontrivial character sum < sqrt(3(p-1)), 3 <= p <= 61"):
         for p in _odd_primes_up_to(61):
             bound = sidon_character_bound(p)
-            for g in all_generators(p):
-                value, chi = max_nontrivial_character_sum(GroupParams(p, g))
+            for g, value, chi in max_nontrivial_character_sums(p, all_generators(p)):
                 assert (chi.s, chi.t) != (0, 0)
                 assert bound - value > 1e-9, (p, g, value)
 
@@ -100,7 +98,7 @@ def _character_sum(graph, chi):
 def test_criterion_04_parseval():
     with _criterion(4, "Parseval: sum of squared character sums = p(p-1)^2, p in {5,13,61}"):
         for p in (5, 13, 61):
-            graph = build_graph(smallest_generator(p))
+            [graph] = build_graphs(p, [smallest_generator(p).g])
             total = sum(
                 _character_sum(graph, CharacterIndex(s, t)) ** 2
                 for s in range(p)
@@ -151,7 +149,7 @@ def test_criterion_06_box_deviation_bound():
             (10007, smallest_generator(10007).g),
         ]
         for p, g in cases:
-            graph = build_graph(GroupParams(p, g))
+            [graph] = build_graphs(p, [g])
             report = sweep(graph, num_random_boxes=10_000, seed=42)
             bound = theorem_bound(p)
             assert report.max_deviation <= bound, p

@@ -291,7 +291,7 @@ def test_prime_above_table_limit_is_input_error(capsys, argv):
     assert captured.err.count("\n") == 1
 
 
-def test_family_envelope_admits_every_prime_to_10007():
+def test_family_envelope_admits_every_prime_to_10007(capsys):
     for p in range(3, 10008, 2):
         if is_prime(p):
             cli._require_family(p, p - 1)
@@ -301,6 +301,11 @@ def test_family_envelope_admits_every_prime_to_10007():
     cli._require_family(631, 631 * 630)
     with pytest.raises(cli.InputError, match="557 with all generators needs 85474992 cells"):
         cli._require_family(557, 557 * 556)
+    assert main(["sidon", "--prime", "557", "--generator", "all"]) == 1
+    assert capsys.readouterr().err == (
+        "elgamalmap: error: --prime 557 with all generators needs 85474992 cells,"
+        " above the supported maximum 67108864\n"
+    )
 
 
 def test_sweep_envelope_edges():
@@ -334,14 +339,22 @@ def test_sidon_counts_past_the_old_dense_cap(capsys):
     "argv",
     [
         pytest.param(["char-sums", "--prime", "10007"], id="char-sums"),
+        pytest.param(["char-sums", "--prime", "10007", "--generator", "all"], id="char-sums-all"),
         pytest.param(["polya", "--n", "1000000", "--window", "500000"], id="polya"),
     ],
 )
 def test_closed_form_kernels_run_at_the_table_limit(capsys, argv):
-    """Neither kernel builds a dense array, so no dense cap applies."""
+    """Neither kernel builds a dense array, so no dense cap applies.  The
+    5002 generators of 10007 share one transform, so they report the
+    smallest generator's float."""
     code, out = run(capsys, *argv)
     assert code == 0
-    assert json.loads(out)["pass"] is True
+    doc = json.loads(out)
+    assert doc["pass"] is True
+    if argv[-1] == "all":
+        _, smallest = run(capsys, "char-sums", "--prime", "10007")
+        [expected] = json.loads(smallest)["results"]
+        assert {r["max_sum"] for r in doc["results"]} == {expected["max_sum"]}
 
 
 @pytest.mark.parametrize(
@@ -364,15 +377,27 @@ def test_negative_seed_is_usage_error(capsys, argv):
     assert sum("error" in line for line in lines) == 1
 
 
-def test_non_generator_is_input_error(capsys):
-    # 2 has order 3 mod 7; x is no integer; 0 and 7 lie outside [2, p-1]
-    for generator in ["2", "x", "0", "7"]:
-        code = main(["cycles", "--prime", "7", "--generator", generator])
-        captured = capsys.readouterr()
-        assert code == 1, generator
-        assert captured.out == ""
-        assert captured.err.startswith("elgamalmap: error: ")
-        assert captured.err.count("\n") == 1
+def test_non_generator_is_input_error(capsys, tmp_path):
+    """Every subcommand that takes --generator rejects a bad one with the
+    same line."""
+    errors = {
+        "2": "2 does not generate the group mod 7",  # 2 has order 3 mod 7
+        "x": "--generator must be an integer, 'smallest', or 'all', got 'x'",
+        "0": "g must lie in [2, p-1], got 0",
+        "7": "g must lie in [2, p-1], got 7",
+    }
+    out = tmp_path / "out.svg"
+    for subcommand in ["cycles", "sidon", "char-sums", "discrepancy", "render-cycles"]:
+        argv = [subcommand, "--prime", "7"]
+        if subcommand == "render-cycles":
+            argv += ["--out", str(out)]
+        for generator, error in errors.items():
+            code = main([*argv, "--generator", generator])
+            captured = capsys.readouterr()
+            assert code == 1, (subcommand, generator)
+            assert captured.out == ""
+            assert captured.err == f"elgamalmap: error: {error}\n", (subcommand, generator)
+    assert not out.exists()
 
 
 def test_runs_are_byte_identical(capsys):

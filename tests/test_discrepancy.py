@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from elgamalmap.discrepancy import count_in_box, sweep, theorem_bound
-from elgamalmap.numth import GroupParams, smallest_generator
-from elgamalmap.sidon import build_graph
+from elgamalmap.numth import smallest_generator
+from elgamalmap.sidon import build_graphs
 
 
 def _naive_count(graph, h, N, k, M):
@@ -50,7 +50,7 @@ def _scalar_sweep(graph, num_random_boxes, seed):
 
 
 def test_count_in_box_examples():
-    graph = build_graph(GroupParams(5, 2))
+    graph = build_graphs(5, [2])[0]
     assert count_in_box(graph, 0, 5, 0, 4) == 4  # full box
     # first coordinates in {1, 2}: points (1,0) and (2,1)
     assert count_in_box(graph, 0, 2, -1, 4) == 2
@@ -59,7 +59,7 @@ def test_count_in_box_examples():
 
 def test_box_validation():
     """Window lengths outside 1 <= N <= p, 1 <= M <= p-1 are rejected."""
-    graph = build_graph(GroupParams(5, 2))
+    graph = build_graphs(5, [2])[0]
     for N, M in [(0, 1), (1, 0), (6, 4), (5, 5)]:
         with pytest.raises(ValueError):
             count_in_box(graph, 0, N, 0, M)
@@ -75,7 +75,7 @@ def test_theorem_bound_examples():
 
 @pytest.mark.parametrize("p", [5, 101, 1009])
 def test_count_matches_naive_oracle(p):
-    graph = build_graph(smallest_generator(p))
+    graph = build_graphs(p, [smallest_generator(p).g])[0]
     d = p - 1
     rng = np.random.default_rng(p)
     for _ in range(500):
@@ -90,7 +90,7 @@ def test_count_matches_naive_oracle(p):
 
 def test_window_split_additivity():
     """Splitting the first-coordinate window keeps hit counts additive."""
-    graph = build_graph(GroupParams(101, 2))
+    graph = build_graphs(101, [2])[0]
     rng = np.random.default_rng(3)
     for _ in range(200):
         h = int(rng.integers(0, 101))
@@ -106,7 +106,7 @@ def test_window_split_additivity():
 
 @pytest.mark.parametrize("wrap_k", [0, -1, 50])
 def test_full_width_boxes_have_zero_deviation(wrap_k):
-    graph = build_graph(GroupParams(101, 2))
+    graph = build_graphs(101, [2])[0]
     for m in (1, 7, 100):
         hits = count_in_box(graph, 0, 101, wrap_k, m)
         assert hits == m
@@ -114,7 +114,7 @@ def test_full_width_boxes_have_zero_deviation(wrap_k):
 
 
 def test_sweep_p5_structured_only():
-    report = sweep(build_graph(GroupParams(5, 2)), num_random_boxes=0, seed=0)
+    report = sweep(build_graphs(5, [2])[0], num_random_boxes=0, seed=0)
     # full box + 5 single-row + 4 single-column boxes
     assert report.boxes.shape == (10, 4) and report.boxes.dtype == np.int64
     assert report.boxes[0].tolist() == [0, 5, 0, 4]
@@ -125,7 +125,7 @@ def test_sweep_p5_structured_only():
 
 
 def test_sweep_is_deterministic():
-    graph = build_graph(GroupParams(101, 2))
+    graph = build_graphs(101, [2])[0]
     a = sweep(graph, num_random_boxes=50, seed=11)
     b = sweep(graph, num_random_boxes=50, seed=11)
     for name in _COLUMNS:
@@ -142,7 +142,7 @@ def test_sweep_matches_scalar_oracle(p, seed, num_random_boxes):
     """The column sweep equals the per-box loop exactly: the same draws
     in the same order, counts and float columns.  At p = 17 and 257 the
     bounds p-1 on k and M are powers of two."""
-    graph = build_graph(smallest_generator(p))
+    graph = build_graphs(p, [smallest_generator(p).g])[0]
     report = sweep(graph, num_random_boxes, seed)
     oracle = _scalar_sweep(graph, num_random_boxes, seed)
     for name, want in zip(_COLUMNS, oracle):
@@ -152,7 +152,7 @@ def test_sweep_matches_scalar_oracle(p, seed, num_random_boxes):
 
 
 def test_sweep_maxima_match_records():
-    report = sweep(build_graph(GroupParams(101, 2)), num_random_boxes=25, seed=4)
+    report = sweep(build_graphs(101, [2])[0], num_random_boxes=25, seed=4)
     assert report.max_deviation == report.deviation.max()
     assert report.max_ratio == report.ratio.max()
     assert (report.ratio >= 0).all()
@@ -160,7 +160,7 @@ def test_sweep_maxima_match_records():
 
 def test_large_box_flag():
     p = 101
-    graph = build_graph(GroupParams(p, 2))
+    graph = build_graphs(p, [2])[0]
     report = sweep(graph, num_random_boxes=0, seed=0)
     threshold = p**1.5 * math.log(p) ** 2
     cardinality = report.boxes[:, 1] * report.boxes[:, 3]
@@ -171,7 +171,7 @@ def test_large_box_flag():
 
 def test_ratio_scaling():
     p = 101
-    report = sweep(build_graph(GroupParams(p, 2)), num_random_boxes=10, seed=9)
+    report = sweep(build_graphs(p, [2])[0], num_random_boxes=10, seed=9)
     scale = math.sqrt(p) * math.log(p) ** 2
     for ratio, deviation in zip(report.ratio.tolist(), report.deviation.tolist()):
         assert ratio == pytest.approx(deviation / scale, rel=1e-12)

@@ -8,27 +8,74 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from elgamalmap.cli import main
-from elgamalmap.numth import GroupParams, all_generators, smallest_generator
+from elgamalmap.numth import all_generators, power_table, smallest_generator
 from elgamalmap.sidon import (
     CharacterIndex,
     SidonGraph,
-    build_graph,
+    build_graphs,
     incomplete_exponential_sum_total,
-    max_nontrivial_character_sum,
+    max_nontrivial_character_sums,
     polya_vinogradov_bound,
     sidon_character_bound,
     verify_sidon,
 )
 
 
+def _graph(p, g):
+    [graph] = build_graphs(p, [g])
+    return graph
+
+
 def test_build_graph_examples():
-    assert build_graph(GroupParams(3, 2)).points == [(1, 0), (2, 1)]
-    assert build_graph(GroupParams(5, 2)).points == [(1, 0), (2, 1), (4, 2), (3, 3)]
+    assert _graph(3, 2).points == [(1, 0), (2, 1)]
+    assert _graph(5, 2).points == [(1, 0), (2, 1), (4, 2), (3, 3)]
+    # 3 = 2**3 mod 5: the table of 2 read at 3*x mod 4
+    assert [graph.points for graph in build_graphs(5, [3, 2])] == [
+        [(1, 0), (3, 1), (4, 2), (2, 3)],
+        [(1, 0), (2, 1), (4, 2), (3, 3)],
+    ]
+
+
+def _direct_graph(p, g):
+    """Oracle: the graph from g's own power table, one table per generator."""
+    return SidonGraph(p=p, g=g, first=power_table(p, g))
+
+
+def _direct_character_maximum(p, g):
+    """Oracle: one FFT of g's own power table, with the index chosen by
+    the tie rule of the family route."""
+    row = np.abs(np.fft.fft(np.exp(2j * np.pi * power_table(p, g) / p)))
+    peak = float(row.max())
+    return peak, CharacterIndex(1, int(np.argmax(row >= peak * (1.0 - 1e-9))))
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 13, 61, 101, 1009])
+def test_family_route_matches_direct_route(p):
+    """Reading the smallest generator's table at j*x mod p-1 gives every
+    generator's own table, Sidon check and largest character sum.  At
+    1009 the Sidon check (about 20 ms a graph) runs on 8 of the 288
+    generators; the tables of all of them are compared."""
+    generators = all_generators(p)
+    graphs = build_graphs(p, generators)
+    checked = set(generators if p < 1000 else generators[:4] + generators[-4:])
+    for g, graph in zip(generators, graphs):
+        direct = _direct_graph(p, g)
+        assert graph.g == g
+        assert np.array_equal(graph.first, direct.first), g
+        if g in checked:
+            assert verify_sidon(graph) == verify_sidon(direct), g
+    family = max_nontrivial_character_sums(p, generators)
+    assert [g for g, _, _ in family] == generators
+    assert len({value for _, value, _ in family}) == 1
+    for g, value, chi in family:
+        direct_value, direct_chi = _direct_character_maximum(p, g)
+        assert value == pytest.approx(direct_value, rel=1e-12, abs=0), g
+        assert chi == direct_chi, g
 
 
 @pytest.mark.parametrize("p", [3, 5, 13, 101, 1009])
 def test_graph_has_p_minus_1_points(p):
-    graph = build_graph(smallest_generator(p))
+    graph = _graph(p, smallest_generator(p).g)
     assert graph.size == p - 1
     firsts = {u for u, _ in graph.points}
     assert len(firsts) == p - 1 and 0 not in firsts
@@ -48,8 +95,8 @@ def _brute_force_difference_counts(points, p):
 
 
 def test_verify_sidon_small_graphs():
-    assert verify_sidon(build_graph(GroupParams(5, 2))).ok
-    assert verify_sidon(build_graph(GroupParams(3, 2))).ok
+    assert verify_sidon(_graph(5, 2)).ok
+    assert verify_sidon(_graph(3, 2)).ok
 
 
 def _dense_difference_counts(graph):
@@ -91,8 +138,7 @@ def test_graph_table_validation():
 
 @pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 17, 19, 23, 29, 31])
 def test_sidon_and_difference_size_against_oracle(p):
-    for g in all_generators(p):
-        graph = build_graph(GroupParams(p, g))
+    for graph in build_graphs(p, all_generators(p)):
         counts = _brute_force_difference_counts(graph.points, p)
         assert max(counts.values()) == 1
         check = verify_sidon(graph)
@@ -101,12 +147,12 @@ def test_sidon_and_difference_size_against_oracle(p):
 
 
 def test_difference_set_size_examples():
-    assert verify_sidon(build_graph(GroupParams(5, 2))).diff_set_size == 13
-    assert verify_sidon(build_graph(GroupParams(3, 2))).diff_set_size == 3
+    assert verify_sidon(_graph(5, 2)).diff_set_size == 13
+    assert verify_sidon(_graph(3, 2)).diff_set_size == 3
 
 
 def test_difference_set_size_at_1009():
-    graph = build_graph(GroupParams(1009, 11))
+    graph = _graph(1009, 11)
     assert verify_sidon(graph).diff_set_size == 1008**2 - 1008 + 1 == 1015057
 
 
@@ -211,18 +257,18 @@ def _character_sum(graph, chi):
 
 
 def test_character_sum_trivial_is_size():
-    graph = build_graph(GroupParams(5, 2))
+    graph = _graph(5, 2)
     assert _character_sum(graph, CharacterIndex(0, 0)) == pytest.approx(4.0, abs=1e-12)
 
 
 def test_character_sum_p3_example():
-    graph = build_graph(GroupParams(3, 2))
+    graph = _graph(3, 2)
     # the two nonzero cube roots of unity sum to -1
     assert _character_sum(graph, CharacterIndex(1, 0)) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_character_sum_rejects_out_of_range_index():
-    graph = build_graph(GroupParams(5, 2))
+    graph = _graph(5, 2)
     with pytest.raises(ValueError):
         _character_sum(graph, CharacterIndex(5, 0))
     with pytest.raises(ValueError):
@@ -230,14 +276,14 @@ def test_character_sum_rejects_out_of_range_index():
 
 
 def test_max_character_sum_p5_under_bound():
-    graph = build_graph(GroupParams(5, 2))
+    graph = _graph(5, 2)
     direct_max = max(
         _character_sum(graph, CharacterIndex(s, t))
         for s in range(5)
         for t in range(4)
         if (s, t) != (0, 0)
     )
-    value, chi = max_nontrivial_character_sum(GroupParams(5, 2))
+    [(_, value, chi)] = max_nontrivial_character_sums(5, [2])
     assert (chi.s, chi.t) != (0, 0)
     assert value == pytest.approx(direct_max, abs=1e-9)
     assert value < math.sqrt(12)
@@ -247,9 +293,9 @@ def test_max_character_sum_p5_under_bound():
 def test_max_scan_agrees_with_direct_evaluator(p):
     """The transform row and the per-character evaluator are separate
     routes; they must agree everywhere."""
-    params = smallest_generator(p)
-    graph = build_graph(params)
-    value, chi = max_nontrivial_character_sum(params)
+    g = smallest_generator(p).g
+    graph = _graph(p, g)
+    [(_, value, chi)] = max_nontrivial_character_sums(p, [g])
     assert _character_sum(graph, chi) == pytest.approx(value, abs=1e-9)
     rng = np.random.default_rng(5)
     for _ in range(25):
@@ -262,8 +308,7 @@ def test_max_scan_agrees_with_direct_evaluator(p):
 
 @pytest.mark.parametrize("p", [3, 5, 61])
 def test_character_bound_small_primes(p):
-    for g in all_generators(p):
-        value, _ = max_nontrivial_character_sum(GroupParams(p, g))
+    for _, value, _ in max_nontrivial_character_sums(p, all_generators(p)):
         assert value < sidon_character_bound(p)
 
 
@@ -271,8 +316,7 @@ def test_character_bound_small_primes(p):
 def test_argmax_is_first_index_of_the_tie(p):
     """Every (s, t) with s, t != 0 ties at sqrt(p); the first in
     row-major order wins, whatever the rounding noise."""
-    for g in all_generators(p):
-        _, chi = max_nontrivial_character_sum(GroupParams(p, g))
+    for _, _, chi in max_nontrivial_character_sums(p, all_generators(p)):
         assert chi == CharacterIndex(1, 1)
     # the oracle's rule: with one point every character has magnitude 1,
     # so (0, 1) comes first
@@ -284,17 +328,18 @@ def test_argmax_is_first_index_of_the_tie(p):
 def test_max_matches_dense_grid(p):
     """The one-row transform agrees with the full p x (p-1) grid on every
     generator: the same maximum and the same index under the tie rule."""
-    for g in all_generators(p):
-        params = GroupParams(p, g)
-        value, chi = max_nontrivial_character_sum(params)
-        dense_value, dense_chi = _dense_character_maximum(p, build_graph(params).first, range(p - 1))
+    generators = all_generators(p)
+    for graph, (g, value, chi) in zip(
+        build_graphs(p, generators), max_nontrivial_character_sums(p, generators)
+    ):
+        dense_value, dense_chi = _dense_character_maximum(p, graph.first, range(p - 1))
         assert value == pytest.approx(dense_value, rel=1e-12, abs=0), g
         assert chi == dense_chi, g
 
 
 @pytest.mark.parametrize("p", [5, 13])
 def test_parseval_via_direct_evaluator(p):
-    graph = build_graph(smallest_generator(p))
+    graph = _graph(p, smallest_generator(p).g)
     total = sum(
         _character_sum(graph, CharacterIndex(s, t)) ** 2
         for s in range(p)
