@@ -11,7 +11,7 @@ Library layout:
 - cli: the `elgamalmap` command-line harness
 """
 
-from .discrepancy import DiscrepancyReport, count_in_box, sweep, theorem_bound
+from .discrepancy import DiscrepancyReport, count_boxes, sweep, theorem_bound
 from .elgamal import Permutation, Signature, elgamal_permutation, sign, verify
 from .numth import (
     FactoredInteger,

@@ -295,7 +295,7 @@ def _cmd_polya(args) -> bool:
 def _cmd_discrepancy(args) -> bool:
     p = _require_odd_prime(args.prime)
     _require_count(args.boxes, "--boxes", 0, MAX_TABLE_MODULUS)
-    # the sweep's boxes read at most (p-1)*(p+2+boxes) table cells
+    # the cap bounds (p-1)*(p+2+boxes), the cells a scan of every box would read
     _require_dense(
         (p - 1) * (p + 2 + args.boxes), f"--prime {p} --boxes {args.boxes}", MAX_SWEEP_CELLS
     )
@@ -306,15 +306,8 @@ def _cmd_discrepancy(args) -> bool:
     if args.out:
         columns = (*report.boxes.T, report.hits, report.expected, report.deviation,
                    report.ratio, report.large_box.astype(np.int64))
-        rows = list(zip(*(column.tolist() for column in columns)))
-        _emit(
-            _table(
-                ["h", "N", "k", "M", "hits", "expected", "deviation", "ratio", "large_box"],
-                rows,
-                "csv",
-            ),
-            args.out,
-        )
+        header = ["h", "N", "k", "M", "hits", "expected", "deviation", "ratio", "large_box"]
+        _emit(_table(header, list(zip(*(column.tolist() for column in columns))), "csv"), args.out)
     _emit(
         _json(
             {

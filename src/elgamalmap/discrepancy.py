@@ -13,36 +13,48 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .permstat import _row_blocks
 from .sidon import SidonGraph
 
-__all__ = [
-    "DiscrepancyReport",
-    "count_in_box",
-    "theorem_bound",
-    "sweep",
-]
+__all__ = ["DiscrepancyReport", "count_boxes", "theorem_bound", "sweep"]
 
 
-def count_in_box(graph: SidonGraph, h: int, N: int, k: int, M: int) -> int:
-    """Number of graph points inside the box {h+1, ..., h+N} x
-    {k+1, ..., k+M}, each window reduced modulo its group order (p and
-    p-1 respectively), so windows may wrap.  The lengths must satisfy
-    1 <= N <= p and 1 <= M <= p-1.
+def count_boxes(graph: SidonGraph, boxes: np.ndarray) -> np.ndarray:
+    """Number of graph points inside each box (h, N, k, M), the product
+    {h+1, ..., h+N} x {k+1, ..., k+M} of two windows reduced modulo p and
+    p-1, so either may wrap.  Every box must have 1 <= N <= p and
+    1 <= M <= p-1, else ValueError is raised before anything is counted.
 
-    Walks the M exponents of the second window as one or two contiguous
-    slices of the power table and tests the first coordinate by the
-    cyclic-interval criterion (value - h - 1) mod p < N, so the cost is
-    O(M).
+    One table C[j, v] = #{y < 64*j : first[y] < v} of p * ceil((p-1)/64)
+    int32 cells serves every box.  The exponent window is a signed sum of
+    three prefixes y, each read from C at the ends of the (at most two)
+    value intervals plus a fringe of the fewer than 64 exponents from
+    64*(y//64) to y, tested directly: O(p**2/64 + 64*boxes) in all.
     """
     p, d = graph.p, graph.d
-    if not (1 <= N <= p and 1 <= M <= d):
+    boxes = np.asarray(boxes, dtype=np.int64).reshape(-1, 4)
+    bad = (boxes[:, 1] < 1) | (boxes[:, 1] > p) | (boxes[:, 3] < 1) | (boxes[:, 3] > d)
+    if bad.any():
+        h, N, k, M = boxes[bad.argmax()].tolist()
         raise ValueError(f"box ({h}, {N}, {k}, {M}) needs 1 <= N <= {p} and 1 <= M <= {d}")
-    start = (k + 1) % d
-    if start + M <= d:
-        values = graph.first[start : start + M]
-    else:
-        values = np.concatenate([graph.first[start:], graph.first[: start + M - d]])
-    return int(np.count_nonzero((values - h - 1) % p < N))
+    C = np.zeros((-(-d // 64) + 1, p + 1), dtype=np.int32)
+    np.add.at(C, (np.arange(d) // 64 + 1, graph.first + 1), 1)
+    np.cumsum(C, axis=0, out=C)
+    np.cumsum(C, axis=1, out=C)
+    first, offsets = graph.first.astype(np.int32), np.arange(64, dtype=np.int32)
+    hits = np.empty(len(boxes), dtype=np.int64)
+    for start, stop in _row_blocks(len(boxes), 3 * 64):  # fringe cells per box
+        h, N, k, M = boxes[start:stop, :, None].transpose(1, 0, 2)
+        a, s = ((h % p + 1) % p).astype(np.int32), (k % d + 1) % d
+        # [s, s+M) mod d is [s, min(s+M, d)) plus [0, s+M-d) when it wraps
+        ends = np.hstack([np.minimum(s + M, d), s, np.maximum(s + M - d, 0)])
+        row, rest = np.divmod(ends, 64)
+        below = C[row, np.minimum(a + N, p)] - C[row, a] + C[row, np.maximum(a + N - p, 0)]
+        # a fringe cell clipped from past the table has offset >= rest
+        cells = np.take(first, row[..., None] * 64 + offsets, mode="clip")
+        inside = ((cells - a[..., None]) % p < N[..., None]) & (offsets < rest[..., None])
+        hits[start:stop] = (below + np.count_nonzero(inside, axis=2)) @ [1, -1, 1]
+    return hits
 
 
 def theorem_bound(p: int) -> float:
@@ -57,8 +69,8 @@ class DiscrepancyReport:
     """All box measurements of one sweep as columns, one entry per box in
     generation order, plus their maxima.
 
-    `boxes` is an (n, 4) int64 array of rows (h, N, k, M), the arguments
-    of `count_in_box`; the other columns are 1-D arrays of length n.
+    `boxes` is an (n, 4) int64 array of rows (h, N, k, M), as counted by
+    `count_boxes`; the other columns are 1-D arrays of length n.
     `expected` is N*M / p and `deviation` is |hits - expected|.  `ratio`
     is deviation / (sqrt(p) * ln(p)**2), so the bound holds iff
     ratio <= 50.  `large_box` flags boxes whose cardinality N*M exceeds
@@ -112,20 +124,13 @@ def sweep(graph: SidonGraph, num_random_boxes: int, seed: int) -> DiscrepancyRep
         dtype=np.int64,
     )
 
-    hits = np.array([count_in_box(graph, *box) for box in boxes.tolist()], dtype=np.int64)
+    hits = count_boxes(graph, boxes)
     cardinality = boxes[:, 1] * boxes[:, 3]
     expected = cardinality / p
     deviation = np.abs(hits - expected)
     ratio = deviation / (math.sqrt(p) * math.log(p) ** 2)
     return DiscrepancyReport(
-        p=p,
-        g=graph.g,
-        boxes=boxes,
-        hits=hits,
-        expected=expected,
-        deviation=deviation,
-        ratio=ratio,
-        large_box=cardinality > p**1.5 * math.log(p) ** 2,
-        max_deviation=float(deviation.max()),
-        max_ratio=float(ratio.max()),
+        p=p, g=graph.g, boxes=boxes, hits=hits, expected=expected, deviation=deviation,
+        ratio=ratio, large_box=cardinality > p**1.5 * math.log(p) ** 2,
+        max_deviation=float(deviation.max()), max_ratio=float(ratio.max()),
     )

@@ -315,6 +315,15 @@ def test_sweep_envelope_edges():
     assert 10006 * (10007 + 2 + 20000) <= cli.MAX_SWEEP_CELLS
 
 
+def test_discrepancy_runs_at_the_largest_admitted_prime(capsys):
+    """The batched box count makes the sweep's edge input, p = 23167
+    with its 46,333 structured boxes, cheap enough to run in full."""
+    code, out = run(capsys, "discrepancy", "--prime", "23167")
+    assert code == 0
+    report = json.loads(out)
+    assert (report["p"], report["num_boxes"], report["pass"]) == (23167, 46333, True)
+
+
 def test_stirling_envelope_edge(capsys):
     """The exact baseline's recurrence reads n(n+1)/2 cells: every degree
     up to 11584 is admitted, which covers the degree 10006 of

@@ -2,19 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from elgamalmap.discrepancy import count_in_box, sweep, theorem_bound
-from elgamalmap.numth import smallest_generator
-from elgamalmap.sidon import build_graphs
+from elgamalmap.discrepancy import count_boxes, sweep, theorem_bound
+from elgamalmap.numth import all_generators, smallest_generator
+from elgamalmap.sidon import SidonGraph, build_graphs
 
-
-def _naive_count(graph, h, N, k, M):
-    """Oracle: test both coordinates of every point individually."""
-    p, d = graph.p, graph.d
-    in_first = (graph.first - h - 1) % p < N
-    in_second = (np.arange(graph.d) - k - 1) % d < M
-    return int(np.count_nonzero(in_first & in_second))
-
+from box_oracle import count_in_box, naive_count
 
 _COLUMNS = ("boxes", "hits", "expected", "deviation", "ratio", "large_box")
 
@@ -51,18 +46,23 @@ def _scalar_sweep(graph, num_random_boxes, seed):
 
 def test_count_in_box_examples():
     graph = build_graphs(5, [2])[0]
-    assert count_in_box(graph, 0, 5, 0, 4) == 4  # full box
-    # first coordinates in {1, 2}: points (1,0) and (2,1)
-    assert count_in_box(graph, 0, 2, -1, 4) == 2
-    assert count_in_box(graph, 0, 1, 0, 4) == 1  # only g**x = 1
+    boxes = [
+        (0, 5, 0, 4),  # full box
+        (0, 2, -1, 4),  # first coordinates in {1, 2}: points (1,0) and (2,1)
+        (0, 1, 0, 4),  # only g**x = 1
+    ]
+    assert count_boxes(graph, boxes).tolist() == [4, 2, 1]
+    assert [count_in_box(graph, *box) for box in boxes] == [4, 2, 1]
 
 
 def test_box_validation():
-    """Window lengths outside 1 <= N <= p, 1 <= M <= p-1 are rejected."""
+    """Window lengths outside 1 <= N <= p, 1 <= M <= p-1 are rejected,
+    whichever box of the batch carries them."""
     graph = build_graphs(5, [2])[0]
     for N, M in [(0, 1), (1, 0), (6, 4), (5, 5)]:
-        with pytest.raises(ValueError):
-            count_in_box(graph, 0, N, 0, M)
+        with pytest.raises(ValueError, match=rf"box \(0, {N}, 0, {M}\) needs 1 <= N <= 5"):
+            count_boxes(graph, [(0, 5, 0, 4), (0, N, 0, M), (1, 1, 1, 1)])
+    assert count_boxes(graph, np.empty((0, 4), dtype=np.int64)).tolist() == []
 
 
 def test_theorem_bound_examples():
@@ -78,39 +78,95 @@ def test_count_matches_naive_oracle(p):
     graph = build_graphs(p, [smallest_generator(p).g])[0]
     d = p - 1
     rng = np.random.default_rng(p)
-    for _ in range(500):
-        box = (
-            int(rng.integers(0, p)),
-            int(rng.integers(1, p + 1)),
-            int(rng.integers(0, d)),
-            int(rng.integers(1, d + 1)),
+    boxes = np.column_stack(
+        [rng.integers(0, p, 500), rng.integers(1, p + 1, 500), rng.integers(0, d, 500),
+         rng.integers(1, d + 1, 500)]
+    )
+    hits = count_boxes(graph, boxes)
+    assert hits.tolist() == naive_count(graph, *boxes.T[:, :, None]).tolist()
+    assert hits.tolist() == [count_in_box(graph, *box) for box in boxes.tolist()]
+
+
+# d < 64, d a multiple of 64, and d just past one
+_PINNED_PRIMES = (3, 5, 61, 67, 193, 257)
+
+
+@st.composite
+def _table_and_boxes(draw):
+    """An arbitrary table of p-1 values in [0, p), 0 and repeats allowed,
+    and up to 200 boxes (more than one block) with any int64 shifts."""
+    p = draw(st.sampled_from(_PINNED_PRIMES))
+    d = p - 1
+    first = draw(st.lists(st.integers(0, p - 1), min_size=d, max_size=d))
+    shift = st.integers(-3 * p, 3 * p) | st.integers(-(2**63), 2**63 - 1)
+    boxes = draw(
+        st.lists(
+            st.tuples(
+                shift, st.sampled_from([1, p]) | st.integers(1, p),
+                shift, st.sampled_from([1, d]) | st.integers(1, d),
+            ),
+            min_size=1,
+            max_size=200,
         )
-        assert count_in_box(graph, *box) == _naive_count(graph, *box)
+    )
+    return SidonGraph(p=p, g=0, first=np.array(first, dtype=np.int64)), boxes
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_table_and_boxes())
+def test_count_boxes_matches_oracle_on_arbitrary_tables(case):
+    """The prefix table and its fringe agree with the per-box scan on
+    tables that are no power table, for wrapping and full-length windows
+    on both axes.  The oracle gets the shifts reduced, which names the
+    same box."""
+    graph, boxes = case
+    p, d = graph.p, graph.d
+    want = [count_in_box(graph, h % p, N, k % d, M) for h, N, k, M in boxes]
+    assert count_boxes(graph, boxes).tolist() == want
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+def test_count_boxes_every_box_small_primes(p):
+    """Every box (h, N, k, M) at small p, on every genuine graph and on
+    one table with repeats and zeros."""
+    d = p - 1
+    h, N, k, M = np.meshgrid(
+        np.arange(p), np.arange(1, p + 1), np.arange(d), np.arange(1, d + 1), indexing="ij"
+    )
+    boxes = np.column_stack([h.ravel(), N.ravel(), k.ravel(), M.ravel()])
+    table = np.random.default_rng(p).integers(0, p, d)
+    table[0] = 0
+    graphs = [*build_graphs(p, all_generators(p)), SidonGraph(p=p, g=0, first=table)]
+    for graph in graphs:
+        hits = count_boxes(graph, boxes)
+        assert hits.tolist() == naive_count(graph, *boxes.T[:, :, None]).tolist(), graph.g
 
 
 def test_window_split_additivity():
     """Splitting the first-coordinate window keeps hit counts additive."""
     graph = build_graphs(101, [2])[0]
     rng = np.random.default_rng(3)
+    wholes, lefts, rights = [], [], []
     for _ in range(200):
         h = int(rng.integers(0, 101))
         total_n = int(rng.integers(2, 102))
         n1 = int(rng.integers(1, total_n))
         k = int(rng.integers(0, 100))
         m = int(rng.integers(1, 101))
-        whole = count_in_box(graph, h, total_n, k, m)
-        left = count_in_box(graph, h, n1, k, m)
-        right = count_in_box(graph, h + n1, total_n - n1, k, m)
-        assert whole == left + right
+        wholes.append((h, total_n, k, m))
+        lefts.append((h, n1, k, m))
+        rights.append((h + n1, total_n - n1, k, m))
+    whole, left, right = (count_boxes(graph, boxes) for boxes in (wholes, lefts, rights))
+    assert whole.tolist() == (left + right).tolist()
 
 
 @pytest.mark.parametrize("wrap_k", [0, -1, 50])
 def test_full_width_boxes_have_zero_deviation(wrap_k):
     graph = build_graphs(101, [2])[0]
-    for m in (1, 7, 100):
-        hits = count_in_box(graph, 0, 101, wrap_k, m)
-        assert hits == m
-        assert abs(hits - 101 * m / 101) == 0.0
+    lengths = [1, 7, 100]
+    hits = count_boxes(graph, [(0, 101, wrap_k, m) for m in lengths])
+    assert hits.tolist() == lengths
+    assert (np.abs(hits - 101 * np.array(lengths) / 101) == 0.0).all()
 
 
 def test_sweep_p5_structured_only():
