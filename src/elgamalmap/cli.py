@@ -18,6 +18,8 @@ import os
 import stat
 import sys
 from collections import Counter
+from collections.abc import Iterable, Iterator
+from itertools import chain
 from math import gcd, isqrt
 
 import numpy as np
@@ -37,6 +39,7 @@ from .permstat import (
     MAX_DENSE_CELLS,
     MAX_FAMILY_CELLS,
     MAX_SWEEP_CELLS,
+    _row_blocks,
     expected_k_cycles,
     family_cycle_lengths,
     family_statistics,
@@ -131,16 +134,26 @@ def _table(columns: list[str], rows: list[tuple], out_format: str) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _csv_blocks(columns: list[str], arrays: tuple[np.ndarray, ...]) -> Iterator[str]:
+    """`_table`'s CSV of the rows of 1-D int64/float64 `arrays`, one `%` per block of rows."""
+    yield ",".join(columns) + "\n"
+    row_fmt = ",".join("%.6f" if a.dtype.kind == "f" else "%d" for a in arrays) + "\n"
+    for start, stop in _row_blocks(len(arrays[0]), len(arrays)):
+        values = chain.from_iterable(zip(*(a[start:stop].tolist() for a in arrays)))
+        yield row_fmt * (stop - start) % tuple(values)
+
+
 def _json(obj) -> str:
     return json.dumps(obj, indent=2) + "\n"
 
 
-def _emit(text: str, out_path: str | None) -> None:
+def _emit(text: str | Iterable[str], out_path: str | None) -> None:
+    chunks = [text] if isinstance(text, str) else text
     if out_path:
         with open(out_path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
 
 
 # ---------------------------------------------------------------------------
@@ -307,7 +320,7 @@ def _cmd_discrepancy(args) -> bool:
         columns = (*report.boxes.T, report.hits, report.expected, report.deviation,
                    report.ratio, report.large_box.astype(np.int64))
         header = ["h", "N", "k", "M", "hits", "expected", "deviation", "ratio", "large_box"]
-        _emit(_table(header, list(zip(*(column.tolist() for column in columns))), "csv"), args.out)
+        _emit(_csv_blocks(header, columns), args.out)
     _emit(
         _json(
             {

@@ -26,10 +26,11 @@ def count_boxes(graph: SidonGraph, boxes: np.ndarray) -> np.ndarray:
     1 <= M <= p-1, else ValueError is raised before anything is counted.
 
     One table C[j, v] = #{y < 64*j : first[y] < v} of p * ceil((p-1)/64)
-    int32 cells serves every box.  The exponent window is a signed sum of
-    three prefixes y, each read from C at the ends of the (at most two)
-    value intervals plus a fringe of the fewer than 64 exponents from
-    64*(y//64) to y, tested directly: O(p**2/64 + 64*boxes) in all.
+    uint16 cells (int32 from p-1 = 2**16 on) serves every box.  The
+    exponent window is a signed sum of three prefixes y, each read from C
+    at the ends of the (at most two) value intervals plus a fringe of the
+    fewer than 64 exponents from 64*(y//64) to y, tested directly:
+    O(p**2/64 + 64*boxes) in all.
     """
     p, d = graph.p, graph.d
     boxes = np.asarray(boxes, dtype=np.int64).reshape(-1, 4)
@@ -37,7 +38,7 @@ def count_boxes(graph: SidonGraph, boxes: np.ndarray) -> np.ndarray:
     if bad.any():
         h, N, k, M = boxes[bad.argmax()].tolist()
         raise ValueError(f"box ({h}, {N}, {k}, {M}) needs 1 <= N <= {p} and 1 <= M <= {d}")
-    C = np.zeros((-(-d // 64) + 1, p + 1), dtype=np.int32)
+    C = np.zeros((-(-d // 64) + 1, p + 1), dtype=np.uint16 if d < 2**16 else np.int32)
     np.add.at(C, (np.arange(d) // 64 + 1, graph.first + 1), 1)
     np.cumsum(C, axis=0, out=C)
     np.cumsum(C, axis=1, out=C)
@@ -49,7 +50,9 @@ def count_boxes(graph: SidonGraph, boxes: np.ndarray) -> np.ndarray:
         # [s, s+M) mod d is [s, min(s+M, d)) plus [0, s+M-d) when it wraps
         ends = np.hstack([np.minimum(s + M, d), s, np.maximum(s + M - d, 0)])
         row, rest = np.divmod(ends, 64)
-        below = C[row, np.minimum(a + N, p)] - C[row, a] + C[row, np.maximum(a + N - p, 0)]
+        # C may be uint16: widen before the signed sum
+        below = (C[row, np.minimum(a + N, p)].astype(np.int64) - C[row, a]
+                 + C[row, np.maximum(a + N - p, 0)])
         # a fringe cell clipped from past the table has offset >= rest
         cells = np.take(first, row[..., None] * 64 + offsets, mode="clip")
         inside = ((cells - a[..., None]) % p < N[..., None]) & (offsets < rest[..., None])
@@ -98,8 +101,8 @@ def sweep(graph: SidonGraph, num_random_boxes: int, seed: int) -> DiscrepancyRep
 
     Reporting only; nothing is asserted.  The box order is the
     generation order and depends only on the seed.  The random boxes
-    come from one draw whose bounds repeat (h, N, k, M) once per box,
-    which yields the stream of four scalar draws per box.
+    come from one draw whose bounds (h, N, k, M) broadcast over the
+    boxes, which yields the stream of four scalar draws per box.
     """
     if num_random_boxes < 0:
         raise ValueError("num_random_boxes must be >= 0")
@@ -111,15 +114,12 @@ def sweep(graph: SidonGraph, num_random_boxes: int, seed: int) -> DiscrepancyRep
     else:
         rows = np.sort(rng.choice(p, size=d, replace=False))
         cols = np.sort(rng.choice(d, size=d, replace=False))
-    random_boxes = rng.integers(
-        np.tile([0, 1, 0, 1], num_random_boxes), np.tile([p, p + 1, d, d + 1], num_random_boxes)
-    )
     boxes = np.concatenate(
         [
             [[0, p, 0, d]],
             np.column_stack(np.broadcast_arrays(rows, 1, 0, d)),
             np.column_stack(np.broadcast_arrays(0, p, cols, 1)),
-            random_boxes.reshape(-1, 4),
+            rng.integers([0, 1, 0, 1], [p, p + 1, d, d + 1], size=(num_random_boxes, 4)),
         ],
         dtype=np.int64,
     )

@@ -156,10 +156,10 @@ MAX_FAMILY_CELLS = 2**26
 MAX_DENSE_CELLS = 2**25
 
 # Largest (p-1)*(p+2+boxes) a `discrepancy` sweep accepts, the cells a
-# scan of every box would read.  `count_boxes` reads p*ceil((p-1)/64) int32
+# scan of every box would read.  `count_boxes` reads p*ceil((p-1)/64) uint16
 # table cells plus at most 3*64 fringe cells per box instead.  With no
 # random boxes the cap admits p = 23167, whose 46,333 boxes take about
-# 0.2 s and 70 MB in `cli.main` on 2 shared cores.
+# 0.2 s and 54 MB in `cli.main` on 2 shared cores.
 MAX_SWEEP_CELLS = 2**29
 
 

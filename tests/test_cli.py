@@ -9,7 +9,10 @@ from hypothesis import strategies as st
 
 from elgamalmap import cli
 from elgamalmap.cli import main
-from elgamalmap.numth import is_prime
+from elgamalmap.discrepancy import sweep
+from elgamalmap.numth import is_prime, smallest_generator
+from elgamalmap.permstat import _BLOCK_CELLS
+from elgamalmap.sidon import build_graphs
 
 
 def run(capsys, *argv):
@@ -171,6 +174,34 @@ def test_discrepancy_json_and_records(capsys, tmp_path):
     assert len(lines) == 1 + doc["num_boxes"]
     full_box = lines[1].split(",")
     assert float(full_box[6]) == 0.0  # the full box deviates by exactly 0
+
+
+def test_discrepancy_csv_is_byte_identical_across_blocks(capsys, tmp_path):
+    """The block-formatted CSV equals a per-row, per-cell format of the
+    sweep's columns when the rows span three blocks, the last of one row."""
+    p, seed = 1009, 3
+    rows_per_block = _BLOCK_CELLS // 9  # nine CSV columns
+    fixed_rows = 1 + 2 * (p - 1)  # full box, single rows and single columns
+    boxes = 2 * rows_per_block + 1 - fixed_rows
+    assert boxes >= 0
+    records = tmp_path / "records.csv"
+    code, _ = run(
+        capsys, "discrepancy", "--prime", str(p), "--boxes", str(boxes),
+        "--seed", str(seed), "--out", str(records),
+    )
+    assert code == 0
+
+    def fmt(value):
+        return f"{value:.6f}" if isinstance(value, float) else str(value)
+
+    [graph] = build_graphs(p, [smallest_generator(p).g])
+    report = sweep(graph, boxes, seed)
+    columns = (*report.boxes.T, report.hits, report.expected, report.deviation,
+               report.ratio, report.large_box.astype(int))
+    lines = ["h,N,k,M,hits,expected,deviation,ratio,large_box"]
+    lines.extend(",".join(fmt(v) for v in row) for row in zip(*(c.tolist() for c in columns)))
+    assert len(lines) == 1 + 2 * rows_per_block + 1
+    assert records.read_bytes() == ("\n".join(lines) + "\n").encode()
 
 
 def test_discrepancy_rejects_all_selector(capsys):
