@@ -25,12 +25,13 @@ def count_boxes(graph: SidonGraph, boxes: np.ndarray) -> np.ndarray:
     p-1, so either may wrap.  Every box must have 1 <= N <= p and
     1 <= M <= p-1, else ValueError is raised before anything is counted.
 
-    One table C[j, v] = #{y < 64*j : first[y] < v} of p * ceil((p-1)/64)
-    uint16 cells (int32 from p-1 = 2**16 on) serves every box.  The
-    exponent window is a signed sum of three prefixes y, each read from C
-    at the ends of the (at most two) value intervals plus a fringe of the
-    fewer than 64 exponents from 64*(y//64) to y, tested directly:
-    O(p**2/64 + 64*boxes) in all.
+    One prefix table C[j, v] = #{y < 64*j : first[y] < v} (uint16, int32
+    from p-1 = 2**16 on) and one uint8 rank table serve every box.  A value
+    x of block b = y//64 is below v iff its rank C[b+1, x] - C[b, x] in the
+    block is below v's, so T[b, r, k] = #{offsets < r in block b of rank
+    < k} gives F(y, v) = #{y' < y : first[y'] < v} in three reads.  A box
+    is a signed 3 x 3 sum of F over the ends of the (at most two)
+    intervals of its windows, with no per-box scan: O(p**2/64 + boxes).
     """
     p, d = graph.p, graph.d
     boxes = np.asarray(boxes, dtype=np.int64).reshape(-1, 4)
@@ -38,25 +39,27 @@ def count_boxes(graph: SidonGraph, boxes: np.ndarray) -> np.ndarray:
     if bad.any():
         h, N, k, M = boxes[bad.argmax()].tolist()
         raise ValueError(f"box ({h}, {N}, {k}, {M}) needs 1 <= N <= {p} and 1 <= M <= {d}")
-    C = np.zeros((-(-d // 64) + 1, p + 1), dtype=np.uint16 if d < 2**16 else np.int32)
-    np.add.at(C, (np.arange(d) // 64 + 1, graph.first + 1), 1)
+    # one spare row, so that y = d reads C[d//64 + 1] when 64 divides d
+    C = np.zeros((-(-d // 64) + 2, p + 1), dtype=np.uint16 if d < 2**16 else np.int32)
+    block, offset = np.divmod(np.arange(d), 64)
+    np.add.at(C, (block + 1, graph.first + 1), 1)
     np.cumsum(C, axis=0, out=C)
     np.cumsum(C, axis=1, out=C)
-    first, offsets = graph.first.astype(np.int32), np.arange(64, dtype=np.int32)
+    T = np.zeros((len(C) - 1, 65, 65), dtype=np.uint8)
+    T[block, offset + 1, C[block + 1, graph.first] - C[block, graph.first] + 1] = 1
+    np.cumsum(T, axis=1, out=T)
+    np.cumsum(T, axis=2, out=T)
     hits = np.empty(len(boxes), dtype=np.int64)
-    for start, stop in _row_blocks(len(boxes), 3 * 64):  # fringe cells per box
+    for start, stop in _row_blocks(len(boxes), 64):  # 256 boxes of 27 table reads
         h, N, k, M = boxes[start:stop, :, None].transpose(1, 0, 2)
-        a, s = ((h % p + 1) % p).astype(np.int32), (k % d + 1) % d
+        a, s = (h % p + 1) % p, (k % d + 1) % d
         # [s, s+M) mod d is [s, min(s+M, d)) plus [0, s+M-d) when it wraps
-        ends = np.hstack([np.minimum(s + M, d), s, np.maximum(s + M - d, 0)])
-        row, rest = np.divmod(ends, 64)
-        # C may be uint16: widen before the signed sum
-        below = (C[row, np.minimum(a + N, p)].astype(np.int64) - C[row, a]
-                 + C[row, np.maximum(a + N - p, 0)])
-        # a fringe cell clipped from past the table has offset >= rest
-        cells = np.take(first, row[..., None] * 64 + offsets, mode="clip")
-        inside = ((cells - a[..., None]) % p < N[..., None]) & (offsets < rest[..., None])
-        hits[start:stop] = (below + np.count_nonzero(inside, axis=2)) @ [1, -1, 1]
+        y = np.hstack([np.minimum(s + M, d), s, np.maximum(s + M - d, 0)])[..., None]
+        v = np.hstack([np.minimum(a + N, p), a, np.maximum(a + N - p, 0)])[:, None, :]
+        row, rest = np.divmod(y, 64)
+        # F[box, y, v]; C may be uint16: widen before the signed sum
+        F = C[row, v].astype(np.int64) + T[row, rest, C[row + 1, v] - C[row, v]]
+        hits[start:stop] = F @ [1, -1, 1] @ [1, -1, 1]
     return hits
 
 

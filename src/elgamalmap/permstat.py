@@ -156,10 +156,11 @@ MAX_FAMILY_CELLS = 2**26
 MAX_DENSE_CELLS = 2**25
 
 # Largest (p-1)*(p+2+boxes) a `discrepancy` sweep accepts, the cells a
-# scan of every box would read.  `count_boxes` reads p*ceil((p-1)/64) uint16
-# table cells plus at most 3*64 fringe cells per box instead.  With no
-# random boxes the cap admits p = 23167, whose 46,333 boxes take about
-# 0.2 s and 54 MB in `cli.main` on 2 shared cores.
+# scan of every box would read.  `count_boxes` instead builds about
+# p*(p-1)/64 uint16 prefix cells and 65*65*(p-1)/64 uint8 rank cells, then
+# makes 27 table reads per box: O(p**2/64 + boxes), no per-box scan.  With
+# no random boxes the cap admits p = 23167, whose 46,333 boxes take about
+# 0.15 s and 56 MB in `cli.main` on 2 shared cores.
 MAX_SWEEP_CELLS = 2**29
 
 

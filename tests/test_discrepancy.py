@@ -115,7 +115,7 @@ def _table_and_boxes(draw):
 @settings(max_examples=300, deadline=None)
 @given(case=_table_and_boxes())
 def test_count_boxes_matches_oracle_on_arbitrary_tables(case):
-    """The prefix table and its fringe agree with the per-box scan on
+    """The prefix and rank tables agree with the per-box scan on
     tables that are no power table, for wrapping and full-length windows
     on both axes.  The oracle gets the shifts reduced, which names the
     same box."""
@@ -140,6 +140,46 @@ def test_count_boxes_every_box_small_primes(p):
     for graph in graphs:
         hits = count_boxes(graph, boxes)
         assert hits.tolist() == naive_count(graph, *boxes.T[:, :, None]).tolist(), graph.g
+
+
+@pytest.mark.parametrize("p", [193, 257])
+def test_count_boxes_every_exponent_window_across_blocks(p):
+    """Every exponent window (k, M) where 64 divides p-1, so windows
+    cross 64-exponent blocks and an end y = p-1 reads the spare row of
+    the prefix table, with a full, a single, a wrapping and a mid-size
+    first-coordinate window, on the genuine graph and on one table with
+    repeats and zeros."""
+    d = p - 1
+    k, M = (grid.reshape(-1, 1) for grid in np.meshgrid(np.arange(d), np.arange(1, d + 1)))
+    table = np.random.default_rng(p).integers(0, p, d)
+    table[:3] = 0
+    h, N = np.array([[0, p], [5, 1], [p - 3, 10], [40, p // 2]]).T[:, :, None]
+    boxes = np.stack(np.broadcast_arrays(h, N, k.T, M.T), axis=-1).reshape(-1, 4)
+    for graph in build_graphs(p, [smallest_generator(p).g])[0], SidonGraph(p=p, g=0, first=table):
+        hits = count_boxes(graph, boxes).reshape(len(h), -1)
+        for part in np.array_split(np.arange(len(k)), 16):
+            want = naive_count(graph, h[..., None], N[..., None], k[part], M[part])
+            assert hits[:, part].tolist() == want.tolist(), graph.g
+
+
+def test_count_boxes_at_the_largest_admitted_prime():
+    """At p = 23167, the sweep's largest prime, the batched count agrees
+    with the per-box scan on the full box, full-width rows and columns,
+    windows that wrap on both axes and seeded random boxes."""
+    p = 23167
+    d = p - 1
+    graph = build_graphs(p, [smallest_generator(p).g])[0]
+    rng = np.random.default_rng(23167)
+    boxes = [(0, p, 0, d), (p - 1, p, d - 1, d), (p - 1, 1, d - 1, 1)]
+    boxes += [(int(h), 1, 0, d) for h in rng.integers(0, p, 50)]
+    boxes += [(0, p, int(k), 1) for k in rng.integers(0, d, 50)]
+    for _ in range(100):
+        N, M = int(rng.integers(2, p + 1)), int(rng.integers(2, d + 1))
+        boxes.append((int(rng.integers(p - N, p - 1)), N, int(rng.integers(d - M, d - 1)), M))
+    boxes += rng.integers([0, 1, 0, 1], [p, p + 1, d, d + 1], size=(100, 4)).tolist()
+    assert sum((h + 1) % p + N > p and (k + 1) % d + M > d for h, N, k, M in boxes) >= 100
+    want = [count_in_box(graph, *box) for box in boxes]
+    assert count_boxes(graph, boxes).tolist() == want
 
 
 def test_window_split_additivity():
