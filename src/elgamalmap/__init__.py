@@ -2,7 +2,7 @@
 
 Library layout:
 
-- numth: primes, factorization, totient, modular arithmetic, primitive roots
+- numth: primes, primitive roots and the power table g**e mod p
 - elgamal: the exponentiation permutation and an ElGamal sign/verify pair
 - permstat: cycle statistics and the exact random-permutation baseline
 - sidon: the map's graph as a Sidon set; character and exponential sums
@@ -14,20 +14,14 @@ Library layout:
 from .discrepancy import DiscrepancyReport, count_boxes, sweep, theorem_bound
 from .elgamal import Permutation, Signature, elgamal_permutation, sign, verify
 from .numth import (
-    FactoredInteger,
     GroupParams,
     all_generators,
-    euler_phi,
-    factorize,
     generator_count,
     generator_logs,
     is_prime,
-    mod_inverse,
-    mod_pow,
     smallest_generator,
 )
 from .permstat import (
-    CycleCountDistribution,
     FamilyStatistics,
     expected_k_cycles,
     family_cycle_lengths,

@@ -32,7 +32,6 @@ from .numth import (
     generator_count,
     generator_logs,
     is_prime,
-    mod_pow,
     smallest_generator,
 )
 from .permstat import (
@@ -149,7 +148,7 @@ def _json(obj) -> str:
 
 def _emit(text: str | Iterable[str], out_path: str | None) -> None:
     chunks = [text] if isinstance(text, str) else text
-    if out_path:
+    if out_path is not None:
         with open(out_path, "w", encoding="utf-8", newline="") as fh:
             fh.writelines(chunks)
     else:
@@ -180,7 +179,7 @@ def _cycle_count_table(n: int, counts: list[int]) -> list[tuple]:
     hist = Counter(counts)
     total = len(counts)
     return [
-        (c, 100.0 * float(theory.probs[c]), 100.0 * hist.get(c, 0) / total)
+        (c, 100.0 * float(theory[c]), 100.0 * hist.get(c, 0) / total)
         for c in range(1, min(DIST_MAX_CYCLES, n) + 1)
     ]
 
@@ -316,7 +315,7 @@ def _cmd_discrepancy(args) -> bool:
     report = sweep(graph, args.boxes, args.seed)
     bound = theorem_bound(p)
     ok = report.max_deviation <= bound
-    if args.out:
+    if args.out is not None:
         columns = (*report.boxes.T, report.hits, report.expected, report.deviation,
                    report.ratio, report.large_box.astype(np.int64))
         header = ["h", "N", "k", "M", "hits", "expected", "deviation", "ratio", "large_box"]
@@ -356,7 +355,7 @@ def _cmd_sign_demo(args) -> bool:
     while gcd(session_k, d) != 1:
         session_k = int(rng.integers(1, d))
     message_m = int(rng.integers(0, d))
-    public_A = mod_pow(params.g, secret_a, p)
+    public_A = pow(params.g, secret_a, p)
     signature = sign(params, secret_a, session_k, message_m)
     checked_m = (message_m + 1) % d if args.tamper else message_m
     verified = verify(params, public_A, checked_m, signature)
@@ -442,8 +441,11 @@ def _build_parser() -> _Parser:
 
 
 def _check_out_path(path: str) -> None:
-    """Raise the OSError that opening `path` for writing would raise for a
-    missing or non-directory parent or for a directory, creating nothing."""
+    """Raise the OSError that opening `path` for writing would raise for an
+    empty path, a missing or non-directory parent or a directory, creating
+    nothing."""
+    if not path:
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
     if os.path.isdir(path):
         raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
     try:
@@ -457,9 +459,9 @@ def _check_out_path(path: str) -> None:
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        if args.subcommand == "render-cycles" and not args.out:
+        if args.subcommand == "render-cycles" and args.out is None:
             raise InputError("render-cycles requires --out PATH for the SVG file")
-        if args.out:  # fail before the computation, not after it
+        if args.out is not None:  # fail before the computation, not after it
             _check_out_path(args.out)
         ok = args.handler(args)
     except (InputError, OSError) as exc:

@@ -15,7 +15,7 @@ from math import gcd
 
 import numpy as np
 
-from .numth import GroupParams, mod_inverse, mod_pow, power_table
+from .numth import GroupParams, power_table
 
 __all__ = ["Permutation", "Signature", "elgamal_permutation", "sign", "verify"]
 
@@ -66,19 +66,21 @@ def sign(params: GroupParams, secret_a: int, session_k: int, message_m: int) -> 
     p, g, d = params.p, params.g, params.d
     if gcd(session_k % d, d) != 1:
         raise ValueError(f"session key {session_k} is not invertible mod {d}")
-    K = mod_pow(g, session_k % d, p)
-    k_inv = mod_inverse(session_k, d)
-    b = k_inv * (message_m - secret_a * K) % d
+    K = pow(g, session_k % d, p)
+    b = pow(session_k, -1, d) * (message_m - secret_a * K) % d
     return Signature(K, b)
 
 
 def verify(params: GroupParams, public_A: int, message_m: int, sig: Signature) -> bool:
-    """Check the verification identity g**m == A**K * K**b (mod p).
+    """Check that K lies in [1, p-1] and b in [0, p-2], then the
+    verification identity g**m == A**K * K**b (mod p).
 
     For an honest signature, m = a*K + k*b (mod p-1), so both sides equal
-    g**m.
+    g**m.  Without the range check on K, anyone holding one signature could
+    sign any message: K' = K + j*p is the same residue mod p but another
+    residue mod p-1 (Handbook of Applied Cryptography, note 11.66(iii)).
     """
     p, g = params.p, params.g
-    lhs = mod_pow(g, message_m % params.d, p)
-    rhs = mod_pow(public_A, sig.K, p) * mod_pow(sig.K, sig.b, p) % p
-    return lhs == rhs
+    if not (1 <= sig.K <= p - 1 and 0 <= sig.b <= p - 2):
+        return False
+    return pow(g, message_m % params.d, p) == pow(public_A, sig.K, p) * pow(sig.K, sig.b, p) % p

@@ -1,12 +1,12 @@
 """Integer and modular arithmetic substrate.
 
-Primality, factorization, Euler's totient, modular exponentiation and
-inverses, primitive-root discovery for prime moduli, and the power table
-e -> g**e mod p that every experiment reads.  Everything here is a pure
-function of its arguments; only the power table is a numpy array, the
-rest operates on plain Python integers.  The experiments run at desk
-scale (moduli up to MAX_TABLE_MODULUS = 10**6), so trial division and a
-deterministic Miller-Rabin base set are entirely adequate.
+Primality, the prime divisors of a group order, primitive-root discovery
+for prime moduli, and the power table e -> g**e mod p that every
+experiment reads.  Everything here is a pure function of its arguments;
+only the power table is a numpy array, the rest operates on plain Python
+integers and the builtin pow.  The experiments run at desk scale (moduli
+up to MAX_TABLE_MODULUS = 10**6), so trial division and a deterministic
+Miller-Rabin base set are entirely adequate.
 """
 
 from __future__ import annotations
@@ -18,13 +18,8 @@ from math import gcd
 import numpy as np
 
 __all__ = [
-    "FactoredInteger",
     "GroupParams",
     "is_prime",
-    "factorize",
-    "euler_phi",
-    "mod_pow",
-    "mod_inverse",
     "smallest_generator",
     "all_generators",
     "generator_count",
@@ -70,116 +65,24 @@ def is_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class FactoredInteger:
-    """A positive integer together with its complete prime factorization.
-
-    `factors` is a tuple of (prime, exponent) pairs with primes strictly
-    increasing and exponents >= 1; their product reconstructs `value`.
-    The unit 1 is represented by an empty factor tuple.
-    """
-
-    value: int
-    factors: tuple[tuple[int, int], ...]
-
-    def __post_init__(self) -> None:
-        if self.value < 1:
-            raise ValueError(f"value must be positive, got {self.value}")
-        prod = 1
-        prev = 1
-        for p, e in self.factors:
-            if p <= prev:
-                raise ValueError("factor primes must be strictly increasing")
-            if e < 1:
-                raise ValueError("factor exponents must be >= 1")
-            if not is_prime(p):
-                raise ValueError(f"{p} is not prime")
-            prev = p
-            prod *= p**e
-        if prod != self.value:
-            raise ValueError(
-                f"factors multiply to {prod}, expected {self.value}"
-            )
-
-    def prime_divisors(self) -> tuple[int, ...]:
-        return tuple(p for p, _ in self.factors)
-
-
-def factorize(n: int) -> FactoredInteger:
-    """Complete prime factorization by trial division.
-
-    Args:
-        n: integer >= 2, fits in 64 bits.
-
-    Raises:
-        ValueError: if n < 2.
-    """
-    if n < 2:
-        raise ValueError(f"cannot factor {n}: need n >= 2")
-    value = n
-    factors = []
-    for p in (2, 3):
-        e = 0
-        while n % p == 0:
-            n //= p
-            e += 1
-        if e:
-            factors.append((p, e))
-    # Remaining divisors are of the form 6k +- 1.
-    f = 5
-    while f * f <= n:
-        for p in (f, f + 2):
-            e = 0
-            while n % p == 0:
-                n //= p
-                e += 1
-            if e:
-                factors.append((p, e))
-        f += 6
-    if n > 1:
-        factors.append((n, 1))
-    return FactoredInteger(value, tuple(factors))
-
-
 @cache
-def _factorization(n: int) -> FactoredInteger:
-    """factorize(n), computed once per n: the group order p-1 is read by
-    smallest_generator, by every GroupParams of p and by generator_count."""
-    return factorize(n)
+def _prime_divisors(n: int) -> tuple[int, ...]:
+    """The distinct primes dividing n >= 1, ascending, by trial division.
 
-
-def euler_phi(n: FactoredInteger) -> int:
-    """Euler's totient from a factorization: n * prod(1 - 1/p)."""
-    phi = n.value
-    for p, _ in n.factors:
-        phi = phi // p * (p - 1)
-    return phi
-
-
-def mod_pow(base: int, exp: int, modulus: int) -> int:
-    """base**exp mod modulus, the builtin pow with its arguments checked.
-
-    The result is always in [0, modulus), including for negative bases.
+    Computed once per n: the group order p-1 is read by
+    smallest_generator, by every GroupParams of p and by generator_count.
     """
-    if modulus < 2:
-        raise ValueError(f"modulus must be >= 2, got {modulus}")
-    if exp < 0:
-        raise ValueError(f"exponent must be >= 0, got {exp}")
-    return pow(base, exp, modulus)
-
-
-def mod_inverse(a: int, modulus: int) -> int:
-    """Multiplicative inverse of a modulo modulus, in [1, modulus).
-
-    Raises:
-        ValueError: if gcd(a, modulus) != 1 (no inverse exists).
-    """
-    if modulus < 2:
-        raise ValueError(f"modulus must be >= 2, got {modulus}")
-    a %= modulus
-    if gcd(a, modulus) != 1:
-        raise ValueError(f"{a} is not invertible modulo {modulus}")
-    return pow(a, -1, modulus)
+    divisors = []
+    q = 2
+    while q * q <= n:
+        if n % q == 0:
+            divisors.append(q)
+            while n % q == 0:
+                n //= q
+        q += 1
+    if n > 1:
+        divisors.append(n)
+    return tuple(divisors)
 
 
 @dataclass(frozen=True)
@@ -201,15 +104,14 @@ class GroupParams:
             raise ValueError(f"p must be an odd prime, got {self.p}")
         if not 2 <= self.g <= self.p - 1:
             raise ValueError(f"g must lie in [2, p-1], got {self.g}")
-        d = self.p - 1
-        if not _is_primitive_root(self.g, self.p, _factorization(d).prime_divisors()):
+        if not _is_primitive_root(self.g, self.p):
             raise ValueError(f"{self.g} does not generate the group mod {self.p}")
-        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "d", self.p - 1)
 
 
-def _is_primitive_root(g: int, p: int, prime_divisors: tuple[int, ...]) -> bool:
+def _is_primitive_root(g: int, p: int) -> bool:
     d = p - 1
-    return all(mod_pow(g, d // q, p) != 1 for q in prime_divisors)
+    return all(pow(g, d // q, p) != 1 for q in _prime_divisors(d))
 
 
 def smallest_generator(p: int) -> GroupParams:
@@ -220,9 +122,8 @@ def smallest_generator(p: int) -> GroupParams:
     """
     if p < 3 or not is_prime(p):
         raise ValueError(f"p must be an odd prime, got {p}")
-    divisors = _factorization(p - 1).prime_divisors()
     g = 2
-    while not _is_primitive_root(g, p, divisors):
+    while not _is_primitive_root(g, p):
         g += 1
     return GroupParams(p, g)
 
@@ -241,7 +142,10 @@ def all_generators(p: int) -> list[int]:
 def generator_count(p: int) -> int:
     """phi(p-1), the number of primitive roots mod the odd prime p, without
     listing them."""
-    return euler_phi(_factorization(p - 1))
+    phi = p - 1
+    for q in _prime_divisors(p - 1):
+        phi = phi // q * (q - 1)
+    return phi
 
 
 # Largest modulus power_table accepts.  Its table takes 8 bytes per entry

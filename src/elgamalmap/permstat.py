@@ -24,7 +24,6 @@ from .elgamal import Permutation
 from .numth import generator_logs
 
 __all__ = [
-    "CycleCountDistribution",
     "FamilyStatistics",
     "MAX_DENSE_CELLS",
     "MAX_FAMILY_CELLS",
@@ -73,23 +72,10 @@ def _cycle_lengths(images: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return roots // n, np.bincount(label, minlength=cells)[roots]
 
 
-@dataclass(frozen=True, eq=False)
-class CycleCountDistribution:
-    """probs[c] = probability that a uniform permutation of n elements has
-    exactly c cycles, for c in [1, n].  probs[0] is unused and zero."""
-
-    n: int
-    probs: np.ndarray
-
-    def __post_init__(self) -> None:
-        if abs(float(self.probs.sum()) - 1.0) > 1e-9:
-            raise ValueError("cycle-count probabilities must sum to 1")
-        if float(self.probs.min()) < 0.0:
-            raise ValueError("cycle-count probabilities must be >= 0")
-
-
-def stirling_cycle_distribution(n: int) -> CycleCountDistribution:
-    """Exact distribution of the number of cycles of a uniform permutation.
+def stirling_cycle_distribution(n: int) -> np.ndarray:
+    """Exact distribution of the number of cycles of a uniform permutation:
+    the float64 array probs with probs[c] the probability of exactly c
+    cycles, for c in [1, n], and probs[0] = 0.
 
     The count of cycles is a sum of independent Bernoulli(1/i) variables
     for i = 1..n, so the distribution follows the recurrence
@@ -107,7 +93,7 @@ def stirling_cycle_distribution(n: int) -> CycleCountDistribution:
     for m in range(2, n + 1):
         q = 1.0 / m
         probs[1 : m + 1] = probs[0:m] * q + probs[1 : m + 1] * (1.0 - q)
-    return CycleCountDistribution(n, probs)
+    return probs
 
 
 def expected_k_cycles(k: int) -> float:

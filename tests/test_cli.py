@@ -549,3 +549,24 @@ def test_unwritable_out_fails_before_computing(target, tmp_path, monkeypatch, ca
         open(out, "w")
     assert captured.err == f"elgamalmap: error: {opened.value}\n"
     assert sorted(tmp_path.rglob("*")) == before
+
+
+@pytest.mark.parametrize(
+    "subcommand", ["cycles --prime 5", "discrepancy --prime 101 --boxes 20", "render-cycles --prime 5"]
+)
+def test_empty_out_fails_before_computing(subcommand, monkeypatch, capsys):
+    """--out '' is a path that open() rejects, not an absent --out: the run
+    exits 1 with one line and neither prints to stdout nor computes."""
+
+    def kernel_must_not_run(*args, **kwargs):
+        raise AssertionError("a kernel ran before --out was checked")
+
+    monkeypatch.setattr(cli, "sweep", kernel_must_not_run)
+    monkeypatch.setattr(cli, "family_cycle_lengths", kernel_must_not_run)
+    code = cli.main([*subcommand.split(), "--out", ""])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    with pytest.raises(FileNotFoundError) as opened:
+        open("", "w")
+    assert captured.err == f"elgamalmap: error: {opened.value}\n"

@@ -3,8 +3,8 @@ from math import gcd
 import numpy as np
 import pytest
 
-from elgamalmap.elgamal import Permutation, elgamal_permutation, sign, verify
-from elgamalmap.numth import GroupParams, all_generators, mod_pow
+from elgamalmap.elgamal import Permutation, Signature, elgamal_permutation, sign, verify
+from elgamalmap.numth import GroupParams, all_generators
 
 
 def test_permutation_examples():
@@ -38,7 +38,7 @@ def test_incremental_construction_agrees_with_powering():
     params = GroupParams(1009, 11)
     perm = elgamal_permutation(params)
     for x in rng.integers(1, 1009, size=1000):
-        assert perm.image[int(x) - 1] == mod_pow(11, int(x), 1009)
+        assert perm.image[int(x) - 1] == pow(11, int(x), 1009)
 
 
 def test_every_generator_yields_a_permutation():
@@ -62,7 +62,7 @@ def test_sign_rejects_noninvertible_session_key():
 
 def test_round_trip_at_1009():
     params = GroupParams(1009, 11)
-    public_A = mod_pow(11, 5, 1009)
+    public_A = pow(11, 5, 1009)
     # 7 divides 1008, so k=7 has no inverse and must be rejected
     with pytest.raises(ValueError):
         sign(params, secret_a=5, session_k=7, message_m=100)
@@ -80,9 +80,22 @@ def test_verify_trivial_case():
 def test_verify_rejects_tampered_message():
     params = GroupParams(5, 2)
     sig = sign(params, 1, 3, 2)
-    public_A = mod_pow(2, 1, 5)
+    public_A = pow(2, 1, 5)
     assert verify(params, public_A, 2, sig)
     assert not verify(params, public_A, 3, sig)
+
+
+def test_verify_rejects_signature_outside_its_ranges():
+    """K' = K + 804*p is K mod p but another residue mod p-1, so without
+    the check 1 <= K <= p-1 one honest signature forges any message."""
+    params = GroupParams(1009, 11)
+    public_A = pow(11, 123, 1009)
+    honest = sign(params, secret_a=123, session_k=5, message_m=11)
+    assert (honest.K, honest.b) == (620, 475)
+    assert verify(params, public_A, 11, honest)
+    assert not verify(params, public_A, 500, Signature(811856, 148))
+    assert not verify(params, public_A, 11, Signature(620, 475 + 1008))
+    assert not verify(params, public_A, 0, Signature(0, 0))
 
 
 @pytest.mark.parametrize("p", [3, 5])
@@ -90,7 +103,7 @@ def test_completeness_exhaustive_tiny(p):
     params = GroupParams(p, 2)
     d = p - 1
     for a in range(d):
-        public_A = mod_pow(2, a, p)
+        public_A = pow(2, a, p)
         for k in (k for k in range(1, d + 1) if gcd(k, d) == 1):
             for m in range(d):
                 sig = sign(params, a, k, m)
@@ -110,6 +123,6 @@ def test_completeness_randomized(p, g):
             k = int(rng.integers(1, d))
         m = int(rng.integers(0, d))
         sig = sign(params, a, k, m)
-        public_A = mod_pow(g, a, p)
+        public_A = pow(g, a, p)
         assert verify(params, public_A, m, sig)
         assert not verify(params, public_A, (m + 1) % d, sig)

@@ -1,4 +1,5 @@
 from collections import Counter
+from functools import cache
 
 import numpy as np
 import pytest
@@ -9,15 +10,10 @@ from hypothesis import strategies as st
 from elgamalmap import numth
 from elgamalmap.numth import (
     MAX_TABLE_MODULUS,
-    FactoredInteger,
     GroupParams,
     all_generators,
-    euler_phi,
-    factorize,
     generator_count,
     is_prime,
-    mod_inverse,
-    mod_pow,
     power_table,
     smallest_generator,
 )
@@ -39,102 +35,27 @@ def test_is_prime_matches_sympy(n):
     assert is_prime(n) == sympy.isprime(n)
 
 
-def test_factorize_examples():
-    assert factorize(1008).factors == ((2, 4), (3, 2), (7, 1))
-    assert factorize(2).factors == ((2, 1),)
-    assert factorize(12).factors == ((2, 2), (3, 1))
+def test_prime_divisors_examples():
+    assert numth._prime_divisors(1008) == (2, 3, 7)
+    assert numth._prime_divisors(2) == (2,)
+    assert numth._prime_divisors(12) == (2, 3)
+    assert numth._prime_divisors(1) == ()
 
 
-@pytest.mark.parametrize("n", [1, 0, -5])
-def test_factorize_rejects_small(n):
-    with pytest.raises(ValueError):
-        factorize(n)
+@given(st.integers(min_value=1, max_value=10**6))
+def test_prime_divisors_matches_sympy(n):
+    assert numth._prime_divisors(n) == tuple(sympy.primefactors(n))
 
 
-@given(st.integers(min_value=2, max_value=10**9))
-def test_factorize_roundtrip(n):
-    f = factorize(n)
-    prod = 1
-    prev = 1
-    for p, e in f.factors:
-        assert is_prime(p)
-        assert p > prev and e >= 1
-        prev = p
-        prod *= p**e
-    assert prod == n == f.value
+def test_generator_count_examples():
+    assert generator_count(1009) == 288
+    assert generator_count(3) == 1
+    assert generator_count(11) == 4
 
 
-def test_factored_integer_validation():
-    FactoredInteger(1, ())  # the unit is representable
-    with pytest.raises(ValueError):
-        FactoredInteger(12, ((2, 1), (3, 1)))  # product mismatch
-    with pytest.raises(ValueError):
-        FactoredInteger(12, ((3, 1), (2, 2)))  # out of order
-    with pytest.raises(ValueError):
-        FactoredInteger(8, ((8, 1),))  # not prime
-
-
-def test_euler_phi_examples():
-    assert euler_phi(factorize(1008)) == 288
-    assert euler_phi(FactoredInteger(1, ())) == 1
-    assert euler_phi(factorize(10)) == 4
-
-
-@given(st.integers(min_value=2, max_value=20000))
-def test_euler_phi_matches_sympy(n):
-    assert euler_phi(factorize(n)) == sympy.totient(n)
-
-
-def test_mod_pow_examples():
-    assert mod_pow(11, 1, 1009) == 11
-    assert mod_pow(2, 4, 5) == 1
-    assert mod_pow(11, 1008, 1009) == 1  # Fermat
-
-
-@given(
-    st.integers(min_value=-(10**9), max_value=10**9),
-    st.integers(min_value=0, max_value=10**9),
-    st.integers(min_value=2, max_value=10**9),
-)
-def test_mod_pow_matches_builtin(base, exp, modulus):
-    assert mod_pow(base, exp, modulus) == pow(base, exp, modulus)
-
-
-def test_mod_pow_rejects_bad_args():
-    with pytest.raises(ValueError):
-        mod_pow(2, 3, 1)
-    with pytest.raises(ValueError):
-        mod_pow(2, -1, 5)
-
-
-def test_mod_inverse_examples():
-    assert mod_inverse(3, 10) == 7
-    assert mod_inverse(1, 7) == 1
-    assert mod_inverse(5, 1008) == 605
-    assert 5 * 605 % 1008 == 1
-
-
-def test_mod_inverse_rejects_noncoprime():
-    with pytest.raises(ValueError):
-        mod_inverse(4, 10)
-    with pytest.raises(ValueError):
-        mod_inverse(0, 7)
-
-
-@given(
-    st.integers(min_value=1, max_value=10**9),
-    st.integers(min_value=2, max_value=10**9),
-)
-def test_mod_inverse_property(a, modulus):
-    from math import gcd
-
-    if gcd(a, modulus) != 1:
-        with pytest.raises(ValueError):
-            mod_inverse(a, modulus)
-    else:
-        x = mod_inverse(a, modulus)
-        assert 1 <= x < modulus
-        assert a * x % modulus == 1
+@given(st.integers(min_value=2, max_value=10**6).map(sympy.nextprime))
+def test_generator_count_matches_sympy(p):
+    assert generator_count(p) == sympy.totient(p - 1)
 
 
 def test_smallest_generator_examples():
@@ -187,26 +108,27 @@ def test_all_generators_against_order_oracle(p):
 
 @pytest.mark.parametrize("p", SMALL_PRIMES + [101, 1009])
 def test_generator_count_is_phi_of_group_order(p):
-    assert len(all_generators(p)) == euler_phi(factorize(p - 1)) == generator_count(p)
+    assert len(all_generators(p)) == sympy.totient(p - 1) == generator_count(p)
 
 
 def test_group_order_is_factorized_once(monkeypatch):
+    """Every cache miss of _prime_divisors: one per group order p-1."""
     calls = Counter()
+    uncached = numth._prime_divisors.__wrapped__
 
-    def counting_factorize(n):
+    def counting_prime_divisors(n):
         calls[n] += 1
-        return factorize(n)
+        return uncached(n)
 
-    monkeypatch.setattr(numth, "factorize", counting_factorize)
-    numth._factorization.cache_clear()
+    monkeypatch.setattr(numth, "_prime_divisors", cache(counting_prime_divisors))
     assert smallest_generator(1009).g == 11
     GroupParams(1009, 17)
     with pytest.raises(ValueError, match="does not generate"):
-        GroupParams(1009, 2)  # still validated against the one factorization
+        GroupParams(1009, 2)  # still validated against the one cached entry
     assert generator_count(1009) == 288
     assert calls == {1008: 1}
     calls.clear()
-    numth._factorization.cache_clear()
+    numth._prime_divisors.cache_clear()
     fixed_point_sweep(211)
     assert calls == {p - 1: 1 for p in range(3, 212) if is_prime(p)}
 
@@ -221,7 +143,7 @@ def test_generators_are_bijective_exhaustive(p):
     """Every generator's power map must hit all of {1..p-1}."""
     full = set(range(1, p))
     for g in all_generators(p):
-        assert {mod_pow(g, x, p) for x in range(1, p)} == full
+        assert {pow(g, x, p) for x in range(1, p)} == full
 
 
 @pytest.mark.parametrize("p", [1009, 2111])
@@ -245,7 +167,7 @@ def test_power_table_agrees_with_mod_pow():
             assert table.dtype == np.int64
             assert len(table) == p - 1
             for x in range(3 * p):
-                assert mod_pow(g, x, p) == table[x % (p - 1)]
+                assert pow(g, x, p) == table[x % (p - 1)]
 
 
 def test_power_table_at_the_size_limit():

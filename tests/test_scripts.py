@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -6,17 +7,17 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def _run_script(name, *args):
+def _run_script(path, *args):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / name), *args],
+        [sys.executable, str(ROOT / path), *args],
         env=env, capture_output=True, text=True, timeout=120,
     )
 
 
 def test_run_experiments_quick(tmp_path):
-    result = _run_script("run_experiments.py", "--quick", "--outdir", str(tmp_path))
+    result = _run_script("scripts/run_experiments.py", "--quick", "--outdir", str(tmp_path))
     assert result.returncode == 0, result.stderr
     lines = result.stdout.splitlines()
     assert len(lines) == 11
@@ -31,9 +32,23 @@ def test_run_experiments_quick(tmp_path):
 
 def test_render_gallery_smoke(tmp_path):
     result = _run_script(
-        "render_gallery.py", "--prime", "61", "--count", "3", "--outdir", str(tmp_path)
+        "scripts/render_gallery.py", "--prime", "61", "--count", "3", "--outdir", str(tmp_path)
     )
     assert result.returncode == 0, result.stderr
     assert sorted(path.name for path in tmp_path.iterdir()) == [
         "cycles_p61_g2.svg", "cycles_p61_g6.svg", "cycles_p61_g7.svg",
     ]
+
+
+def test_benchmark_traced_child_runs(tmp_path):
+    """The benchmark's traced mode hooks package names (the dataclasses
+    GroupParams and Permutation among them); a deleted one makes every
+    traced child fail, which neither the plain benchmark run nor the
+    other tests see."""
+    result_path = tmp_path / "result.json"
+    result = _run_script(
+        "perfbench/child.py", "spans", str(result_path), str(2 * 2**30), "--",
+        "sign-demo", "--prime", "5",
+    )
+    assert result.returncode == 0, result.stderr
+    assert "layers" in json.loads(result_path.read_text())
