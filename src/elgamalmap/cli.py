@@ -20,7 +20,7 @@ import sys
 from collections import Counter
 from collections.abc import Iterable, Iterator
 from itertools import chain
-from math import gcd, isqrt
+from math import gcd
 
 import numpy as np
 
@@ -35,9 +35,6 @@ from .numth import (
     smallest_generator,
 )
 from .permstat import (
-    MAX_DENSE_CELLS,
-    MAX_FAMILY_CELLS,
-    MAX_SWEEP_CELLS,
     _row_blocks,
     expected_k_cycles,
     family_cycle_lengths,
@@ -66,33 +63,13 @@ class InputError(Exception):
     """Bad user input (composite prime, non-generator, ...)."""
 
 
-def _require_odd_prime(n: int) -> int:
+def _require_odd_prime(n: int) -> None:
     if n < 3 or not is_prime(n):
         raise InputError(f"{n} is not an odd prime")
-    if n > MAX_TABLE_MODULUS:
-        raise InputError(f"--prime {n} is above the supported maximum {MAX_TABLE_MODULUS}")
-    return n
-
-
-def _require_count(value: int, flag: str, low: int, high: int) -> None:
-    if value < low:
-        raise InputError(f"{flag} must be >= {low}, got {value}")
-    if value > high:
-        raise InputError(f"{flag} {value} is above the supported maximum {high}")
-
-
-def _require_dense(cells: int, what: str, limit: int = MAX_DENSE_CELLS) -> None:
-    """Reject an input whose arrays would exceed `limit` cells, before any is built."""
-    if cells > limit:
-        raise InputError(f"{what} needs {cells} cells, above the supported maximum {limit}")
-
-
-def _require_family(p: int, cells_per_generator: int) -> None:
-    """Reject a run over all phi(p-1) generators whose kernel calls of
-    `cells_per_generator` cells each add up to more than MAX_FAMILY_CELLS."""
-    _require_dense(
-        generator_count(p) * cells_per_generator, f"--prime {p} with all generators", MAX_FAMILY_CELLS
-    )
+    if n > MAX_TABLE_MODULUS:  # its log table takes p cells
+        raise InputError(
+            f"--prime {n} needs {n} cells, above the supported maximum {MAX_TABLE_MODULUS}"
+        )
 
 
 def _resolve_generators(p: int, selection: str) -> list[int]:
@@ -160,9 +137,7 @@ def _emit(text: str | Iterable[str], out_path: str | None) -> None:
 
 
 def _cmd_cycles(args) -> bool:
-    p = _require_odd_prime(args.prime)
-    if args.generator == "all":
-        _require_family(p, p - 1)
+    p = args.prime
     rows = []
     for g, lengths in family_cycle_lengths(p, _resolve_generators(p, args.generator)):
         multiplicity = Counter(lengths.tolist())
@@ -185,8 +160,7 @@ def _cycle_count_table(n: int, counts: list[int]) -> list[tuple]:
 
 
 def _cmd_cycle_dist(args) -> bool:
-    p = _require_odd_prime(args.prime)
-    _require_family(p, p - 1)
+    p = args.prime
     stats = family_statistics(p, all_generators(p), k_max=1)
     rows = _cycle_count_table(p - 1, list(stats.cycle_counts))
     _emit(_table(["c", "theory_percent", "elgamal_percent"], rows, args.format), args.out)
@@ -194,14 +168,6 @@ def _cmd_cycle_dist(args) -> bool:
 
 
 def _cmd_random_baseline(args) -> bool:
-    _require_count(args.degree, "--degree", 1, MAX_TABLE_MODULUS)
-    _require_count(args.samples, "--samples", 1, MAX_DENSE_CELLS)
-    _require_dense(args.degree * args.samples, f"--degree {args.degree} --samples {args.samples}")
-    # the recurrence of the exact baseline reads n(n+1)/2 cells
-    _require_dense(
-        args.degree * (args.degree + 1) // 2, f"the baseline of --degree {args.degree}",
-        MAX_FAMILY_CELLS,
-    )
     counts = random_cycle_counts(args.degree, args.samples, args.seed)
     rows = _cycle_count_table(args.degree, counts)
     _emit(_table(["c", "theory_percent", "random_percent"], rows, args.format), args.out)
@@ -209,10 +175,7 @@ def _cmd_random_baseline(args) -> bool:
 
 
 def _cmd_kcycles(args) -> bool:
-    p = _require_odd_prime(args.prime)
-    _require_count(args.k_max, "--k-max", 1, MAX_TABLE_MODULUS)
-    _require_family(p, p - 1)
-    stats = family_statistics(p, all_generators(p), k_max=args.k_max)
+    stats = family_statistics(args.prime, all_generators(args.prime), k_max=args.k_max)
     rows = [
         (k, expected_k_cycles(k), stats.avg_k_cycles[k - 1]) for k in range(1, args.k_max + 1)
     ]
@@ -221,44 +184,36 @@ def _cmd_kcycles(args) -> bool:
 
 
 def _cmd_fixed_points(args) -> bool:
-    # the sweep reads p-1 residues for every prime p <= --max-prime, fewer
-    # than max_prime**2 cells in all, so this cap keeps them in the dense envelope
-    _require_count(args.max_prime, "--max-prime", 2, isqrt(MAX_DENSE_CELLS))
-    rows = [(p, avg) for p, avg in fixed_point_sweep(args.max_prime)]
+    rows = fixed_point_sweep(args.max_prime)
     _emit(_table(["p", "avg_fixed_points"], rows, args.format), args.out)
     return True
 
 
 def _cmd_sidon(args) -> bool:
-    p = _require_odd_prime(args.prime)
-    # the kernel reads p*(p-1) ordered pairs per generator
-    if args.generator == "all":
-        _require_family(p, p * (p - 1))
-    else:
-        _require_dense(p * (p - 1), f"--prime {p} --generator {args.generator}", MAX_FAMILY_CELLS)
+    p = args.prime
+    generators = _resolve_generators(p, args.generator)
+    # g = g0**j has the image of g0's graph under the automorphism
+    # (u, y) -> (u, y/j) of Z_p x Z_{p-1}, which keeps every difference
+    # collision and |S - S|, so one count of g0's graph decides them all
+    [graph] = build_graphs(p, [smallest_generator(p).g])
+    check = verify_sidon(graph)
     expected = (p - 1) ** 2 - (p - 1) + 1
-    results = []
-    all_ok = True
-    for graph in build_graphs(p, _resolve_generators(p, args.generator)):
-        check = verify_sidon(graph)
-        ok = check.ok and check.diff_set_size == expected
-        all_ok &= ok
-        results.append(
-            {
-                "generator": graph.g,
-                "ok": ok,
-                "diff_set_size": check.diff_set_size,
-                "expected_diff_set_size": expected,
-            }
-        )
-    _emit(_json({"p": p, "results": results, "pass": all_ok}), args.out)
-    return all_ok
+    ok = check.ok and check.diff_set_size == expected
+    results = [
+        {
+            "generator": g,
+            "ok": ok,
+            "diff_set_size": check.diff_set_size,
+            "expected_diff_set_size": expected,
+        }
+        for g in generators
+    ]
+    _emit(_json({"p": p, "results": results, "pass": ok}), args.out)
+    return ok
 
 
 def _cmd_char_sums(args) -> bool:
-    p = _require_odd_prime(args.prime)
-    if args.generator == "all":
-        _require_family(p, p - 1)
+    p = args.prime
     bound = sidon_character_bound(p)
     results = []
     all_ok = True
@@ -280,8 +235,6 @@ def _cmd_char_sums(args) -> bool:
 
 
 def _cmd_polya(args) -> bool:
-    if args.n > MAX_TABLE_MODULUS:
-        raise InputError(f"--n {args.n} is above the supported maximum {MAX_TABLE_MODULUS}")
     try:
         total = incomplete_exponential_sum_total(args.n, args.window)
     except ValueError as exc:
@@ -305,12 +258,7 @@ def _cmd_polya(args) -> bool:
 
 
 def _cmd_discrepancy(args) -> bool:
-    p = _require_odd_prime(args.prime)
-    _require_count(args.boxes, "--boxes", 0, MAX_TABLE_MODULUS)
-    # the cap bounds (p-1)*(p+2+boxes), the cells a scan of every box would read
-    _require_dense(
-        (p - 1) * (p + 2 + args.boxes), f"--prime {p} --boxes {args.boxes}", MAX_SWEEP_CELLS
-    )
+    p = args.prime
     [graph] = build_graphs(p, [_resolve_single_generator(p, args.generator)])
     report = sweep(graph, args.boxes, args.seed)
     bound = theorem_bound(p)
@@ -339,14 +287,14 @@ def _cmd_discrepancy(args) -> bool:
 
 
 def _cmd_render_cycles(args) -> bool:
-    p = _require_odd_prime(args.prime)
+    p = args.prime
     [(_, lengths)] = family_cycle_lengths(p, [_resolve_single_generator(p, args.generator)])
     _emit(cycle_diagram_svg(lengths.tolist()), args.out)
     return True
 
 
 def _cmd_sign_demo(args) -> bool:
-    p = _require_odd_prime(args.prime)
+    p = args.prime
     params = smallest_generator(p)
     d = params.d
     rng = np.random.default_rng(args.seed)
@@ -376,15 +324,20 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _seed(text: str) -> int:
-    """--seed values: numpy's default_rng rejects negative seeds."""
-    try:
-        seed = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if seed < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {seed}")
-    return seed
+def _at_least(low: int):
+    """The argparse type of an int flag whose values start at `low`
+    (numpy's default_rng rejects negative seeds)."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+
+    return parse
 
 
 def _flag(name: str, **options) -> tuple[str, dict]:
@@ -393,37 +346,76 @@ def _flag(name: str, **options) -> tuple[str, dict]:
 
 _PRIME = _flag("--prime", type=int, required=True)
 _FORMAT = _flag("--format", choices=("csv", "json"), default="csv")
-_SEED = _flag("--seed", type=_seed, default=DEFAULT_SEED)
+_SEED = _flag("--seed", type=_at_least(0), default=DEFAULT_SEED)
 _GENERATOR_OR_ALL = _flag("--generator", default="smallest", help="an integer, 'smallest', or 'all'")
 _GENERATOR = _flag("--generator", default="smallest", help="an integer or 'smallest'")
 
-# (name, handler, help, flags after --out): the one declaration of each subcommand
+
+def _family(p: int) -> tuple[int, int, str]:
+    """The cost of a run over all phi(p-1) generators, one table of p-1
+    cells each.  Its limit admits every prime up to 10007 (50,050,012
+    cells) and none above 14821, so the exact baseline that `cycle-dist`
+    adds, of degree p-1 (about 0.3 s at 14820), needs no cost of its own."""
+    return generator_count(p) * (p - 1), 52_000_000, f"--prime {p} with all generators"
+
+
+def _family_if_all(args) -> list[tuple[int, int, str]]:
+    return [_family(args.prime)] if args.generator == "all" else []
+
+
+# (name, handler, help, cost, flags after --out): the one declaration of each
+# subcommand.  cost(args) lists (cells, limit, what) and `main` rejects an
+# input whose cells exceed a limit before any work; the limits are measured
+# so that each largest admitted input runs within about 4 s and 128 MB
+# (README, "Size envelope").
 _SUBCOMMANDS = (
-    ("cycles", _cmd_cycles, "cycle lengths of x -> g**x, per generator",
+    ("cycles", _cmd_cycles, "cycle lengths of x -> g**x, per generator", _family_if_all,
      (_PRIME, _GENERATOR_OR_ALL, _FORMAT)),
-    ("cycle-dist", _cmd_cycle_dist, "cycle-count distribution vs exact theory", (_PRIME, _FORMAT)),
+    ("cycle-dist", _cmd_cycle_dist, "cycle-count distribution vs exact theory",
+     lambda a: [_family(a.prime)], (_PRIME, _FORMAT)),
     ("random-baseline", _cmd_random_baseline,
      "cycle-count distribution of seeded uniform permutations",
-     (_flag("--degree", type=int, required=True), _flag("--samples", type=int, required=True),
-      _SEED, _FORMAT)),
+     # a sample seeds its own generator (about 21 us, as long as 256 cells
+     # take) and decomposes its degree cells; the exact baseline's recurrence
+     # reads n(n+1)/2 cells for degree n
+     lambda a: [((a.degree + 256) * a.samples, 2**25,
+                 f"--degree {a.degree} --samples {a.samples}"),
+                (a.degree * (a.degree + 1) // 2, 2**26,
+                 f"the exact baseline of --degree {a.degree}")],
+     (_flag("--degree", type=_at_least(1), required=True),
+      _flag("--samples", type=_at_least(1), required=True), _SEED, _FORMAT)),
     ("kcycles", _cmd_kcycles, "average k-cycle counts vs the 1/k law",
-     (_PRIME, _flag("--k-max", dest="k_max", type=int, default=DIST_MAX_CYCLES), _FORMAT)),
+     # rows past k = p-1 read 0, and no admitted prime exceeds 14821
+     lambda a: [_family(a.prime), (a.k_max, 2**14, f"--k-max {a.k_max}")],
+     (_PRIME, _flag("--k-max", dest="k_max", type=_at_least(1), default=DIST_MAX_CYCLES),
+      _FORMAT)),
     ("fixed-points", _cmd_fixed_points, "average fixed points per prime, all generators",
-     (_flag("--max-prime", dest="max_prime", type=int, required=True), _FORMAT)),
+     # the sweep reads p-1 residues for every prime p up to --max-prime
+     lambda a: [(a.max_prime**2, 20000**2, f"--max-prime {a.max_prime}")],
+     (_flag("--max-prime", dest="max_prime", type=_at_least(2), required=True), _FORMAT)),
     ("sidon", _cmd_sidon, "difference-uniqueness check and difference-set size",
+     # one count of p*(p-1) ordered pairs serves every generator
+     lambda a: [(a.prime * (a.prime - 1), 2**28, f"--prime {a.prime}")],
      (_PRIME, _GENERATOR_OR_ALL)),
     ("char-sums", _cmd_char_sums, "largest nontrivial character sum vs sqrt(3(p-1))",
+     # one FFT of length p-1 serves every generator; its work arrays take
+     # about 170 bytes per cell
+     lambda a: [(a.prime - 1, 2**19, f"--prime {a.prime}"), *_family_if_all(a)],
      (_PRIME, _GENERATOR_OR_ALL)),
     ("polya", _cmd_polya, "incomplete exponential sum total vs 5n ln n",
+     lambda a: [(a.n, MAX_TABLE_MODULUS, f"--n {a.n}")],
      (_flag("--n", type=int, required=True, help="modulus"),
       _flag("--window", type=int, required=True, help="window length N, 1 <= N < n"),
       _flag("--shift", type=int, default=0, help="window start h"))),
     ("discrepancy", _cmd_discrepancy, "box deviations vs 50 sqrt(p) ln(p)^2",
-     (_PRIME, _GENERATOR, _flag("--boxes", type=int, default=0, help="number of random boxes"),
-      _SEED)),
+     # prefix tables of about p*(p-1)/64 cells, then 27 table reads per box
+     lambda a: [(a.prime * (a.prime - 1), 2**29, f"--prime {a.prime}"),
+                (a.boxes, 10**6, f"--boxes {a.boxes}")],
+     (_PRIME, _GENERATOR,
+      _flag("--boxes", type=_at_least(0), default=0, help="number of random boxes"), _SEED)),
     ("render-cycles", _cmd_render_cycles, "SVG cycle diagram, one circle per cycle",
-     (_PRIME, _GENERATOR)),
-    ("sign-demo", _cmd_sign_demo, "seeded sign/verify round trip",
+     lambda a: [], (_PRIME, _GENERATOR)),
+    ("sign-demo", _cmd_sign_demo, "seeded sign/verify round trip", lambda a: [],
      (_PRIME, _SEED, _flag("--tamper", action="store_true", help="verify against m+1 instead of m"))),
 )
 
@@ -431,9 +423,9 @@ _SUBCOMMANDS = (
 def _build_parser() -> _Parser:
     parser = _Parser(prog="elgamalmap", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="subcommand", required=True, parser_class=_Parser)
-    for name, handler, help_text, flags in _SUBCOMMANDS:
+    for name, handler, help_text, cost, flags in _SUBCOMMANDS:
         p = sub.add_parser(name, help=help_text)
-        p.set_defaults(handler=handler)
+        p.set_defaults(handler=handler, cost=cost)
         p.add_argument("--out", metavar="PATH", default=None, help="write output here instead of stdout")
         for flag, options in flags:
             p.add_argument(flag, **options)
@@ -463,6 +455,11 @@ def main(argv: list[str] | None = None) -> int:
             raise InputError("render-cycles requires --out PATH for the SVG file")
         if args.out is not None:  # fail before the computation, not after it
             _check_out_path(args.out)
+        if hasattr(args, "prime"):  # before any cost, which may factor p-1
+            _require_odd_prime(args.prime)
+        for cells, limit, what in args.cost(args):
+            if cells > limit:
+                raise InputError(f"{what} needs {cells} cells, above the supported maximum {limit}")
         ok = args.handler(args)
     except (InputError, OSError) as exc:
         print(f"elgamalmap: error: {exc}", file=sys.stderr)

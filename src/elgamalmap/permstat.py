@@ -25,9 +25,6 @@ from .numth import generator_logs
 
 __all__ = [
     "FamilyStatistics",
-    "MAX_DENSE_CELLS",
-    "MAX_FAMILY_CELLS",
-    "MAX_SWEEP_CELLS",
     "stirling_cycle_distribution",
     "expected_k_cycles",
     "random_permutation",
@@ -125,29 +122,6 @@ def random_permutation(n: int, seed: int) -> Permutation:
 # cells ran no faster and raised the peak RSS of `cycle-dist --prime 4001`
 # from 30.3 to 32.3 MB.
 _BLOCK_CELLS = 2**14
-
-# Largest phi(p-1) * (p-1) a whole-family cycle run accepts.  It admits
-# every prime up to 10007, whose 50,050,012 cells `cycle-dist` decomposes
-# in about 4.5 s on 2 shared cores.  It also bounds the generators times
-# p*(p-1) ordered pairs `sidon` counts: one generator up to p = 8191.
-# And it bounds the n(n+1)/2 cells that the recurrence of
-# `stirling_cycle_distribution` reads for `random-baseline --degree n`:
-# every degree up to 11584, which takes about 0.2 s.  The recurrence
-# slows further once its tail becomes subnormal: 3.6 s at n = 30000.
-MAX_FAMILY_CELLS = 2**26
-
-# Largest degree*samples a `random-baseline` run accepts, and the bound
-# max_prime**2 on `fixed-points --max-prime`, whose sweep reads p-1
-# residues for every prime up to it.
-MAX_DENSE_CELLS = 2**25
-
-# Largest (p-1)*(p+2+boxes) a `discrepancy` sweep accepts, the cells a
-# scan of every box would read.  `count_boxes` instead builds about
-# p*(p-1)/64 uint16 prefix cells and 65*65*(p-1)/64 uint8 rank cells, then
-# makes 27 table reads per box: O(p**2/64 + boxes), no per-box scan.  With
-# no random boxes the cap admits p = 23167, whose 46,333 boxes take about
-# 0.15 s and 56 MB in `cli.main` on 2 shared cores.
-MAX_SWEEP_CELLS = 2**29
 
 
 def _row_blocks(m: int, n: int) -> Iterator[tuple[int, int]]:

@@ -1,7 +1,9 @@
 import contextlib
 import io
 import json
+import runpy
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -13,6 +15,8 @@ from elgamalmap.discrepancy import sweep
 from elgamalmap.numth import is_prime, smallest_generator
 from elgamalmap.permstat import _BLOCK_CELLS
 from elgamalmap.sidon import build_graphs
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def run(capsys, *argv):
@@ -256,6 +260,68 @@ def test_composite_prime_is_input_error(capsys):
     assert "not an odd prime" in captured.err
 
 
+_PARSER = cli._build_parser()
+
+
+def _admitted(argv: list[str]) -> bool:
+    """Whether `main` passes argv on to its handler: --prime is a valid
+    prime, and every cost its subcommand declares is within its limit.
+    Neither the --out check nor the handler runs."""
+    args = _PARSER.parse_args(argv)
+    if hasattr(args, "prime"):
+        cli._require_odd_prime(args.prime)
+    return all(cells <= limit for cells, limit, _ in args.cost(args))
+
+
+# The largest admitted input of each subcommand, whose time and peak RSS
+# the README's size-envelope table gives.  A run over all generators costs
+# phi(p-1)*(p-1), which is not monotone in p: 12487 has the most cells and
+# 14821 is the largest prime admitted.
+_LARGEST_ADMITTED = {
+    "cycles": "cycles --prime 999983",
+    "cycles-all": "cycles --prime 12487 --generator all",
+    "cycles-all-largest-prime": "cycles --prime 14821 --generator all",
+    "cycle-dist": "cycle-dist --prime 12487",
+    "cycle-dist-largest-prime": "cycle-dist --prime 14821",
+    "random-baseline-samples": "random-baseline --degree 1 --samples 130561",
+    "random-baseline-degree": "random-baseline --degree 11584 --samples 2833",
+    "kcycles": "kcycles --prime 12487 --k-max 16384",
+    "kcycles-default-k-max": "kcycles --prime 3",
+    "fixed-points": "fixed-points --max-prime 20000",
+    "sidon": "sidon --prime 16381",
+    "sidon-all": "sidon --prime 16381 --generator all",
+    "char-sums": "char-sums --prime 524287",
+    "char-sums-all": "char-sums --prime 12487 --generator all",
+    "polya": "polya --n 1000000 --window 500000",
+    "discrepancy": "discrepancy --prime 23167 --boxes 1000000",
+    "render-cycles": "render-cycles --prime 999983",
+    "sign-demo": "sign-demo --prime 999983",
+}
+
+# The first input outside the envelope of each size-limited flag; each
+# exits 1 with one line.  "{out}" stands for a writable --out path.
+_FIRST_REJECTED = {
+    "cycles-first-prime-outside": "cycles --prime 1000003",
+    "cycles-all-first-outside": "cycles --prime 10289 --generator all",
+    "cycle-dist-first-outside": "cycle-dist --prime 10289",
+    "random-baseline-first-samples-outside": "random-baseline --degree 1 --samples 130562",
+    "random-baseline-first-cells-outside": "random-baseline --degree 11584 --samples 2834",
+    "random-baseline-first-degree-outside": "random-baseline --degree 11585 --samples 1",
+    "kcycles-first-outside": "kcycles --prime 10289",
+    "kcycles-first-k-max-outside": "kcycles --prime 3 --k-max 16385",
+    "fixed-points-first-outside": "fixed-points --max-prime 20001",
+    "sidon-first-prime-outside": "sidon --prime 16411",
+    "sidon-all-first-outside": "sidon --prime 16411 --generator all",
+    "char-sums-first-prime-outside": "char-sums --prime 524309",
+    "char-sums-all-first-outside": "char-sums --prime 10289 --generator all",
+    "polya-first-n-outside": "polya --n 1000001 --window 1",
+    "discrepancy-first-prime-outside": "discrepancy --prime 23173",
+    "discrepancy-first-boxes-outside": "discrepancy --prime 101 --boxes 1000001",
+    "render-cycles-first-prime-outside": "render-cycles --prime 1000003 --out {out}",
+    "sign-demo-first-prime-outside": "sign-demo --prime 1000003",
+}
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -264,86 +330,98 @@ def test_composite_prime_is_input_error(capsys):
         for sub in ["cycles", "sidon", "discrepancy", "sign-demo"]
     ]
     + [
-        # p*(p-1) ordered pairs above MAX_FAMILY_CELLS: once numpy _ArrayMemoryError
+        # p*(p-1) ordered pairs far above the limit: once numpy _ArrayMemoryError
         pytest.param(["sidon", "--prime", "100003"], id="sidon-dense"),
-        pytest.param(["sidon", "--prime", "8209"], id="sidon-first-prime-outside"),
-        # --n above MAX_TABLE_MODULUS
         pytest.param(["polya", "--n", "1000000000", "--window", "1"], id="polya-huge-n"),
-        pytest.param(["polya", "--n", "1000001", "--window", "1"], id="polya-first-n-outside"),
         pytest.param(
             ["random-baseline", "--degree", "1000", "--samples", "100000"],
             id="random-baseline-cells",
         ),
-        # counts above MAX_TABLE_MODULUS: once a traceback or a hang
+        # once a traceback or a hang
         pytest.param(
             ["random-baseline", "--degree", "1000000000", "--samples", "1"],
             id="random-baseline-degree",
         ),
-        # the exact baseline's n(n+1)/2 cells above MAX_FAMILY_CELLS: once minutes of work
+        # the exact baseline's n(n+1)/2 cells: once minutes of work
         pytest.param(
             ["random-baseline", "--degree", "1000000", "--samples", "1"],
             id="random-baseline-stirling",
         ),
+        # one seeded generator per sample: once 21 s of work
         pytest.param(
-            ["random-baseline", "--degree", "11585", "--samples", "1"],
-            id="random-baseline-first-degree-outside",
+            ["random-baseline", "--degree", "1", "--samples", "1000000"],
+            id="random-baseline-samples",
         ),
         pytest.param(["kcycles", "--prime", "5", "--k-max", "100000000"], id="kcycles-k-max"),
+        # one output row per k: once 6 s and 337 MB
+        pytest.param(
+            ["kcycles", "--prime", "10007", "--k-max", "1000000"], id="kcycles-k-max-rows"
+        ),
         pytest.param(
             ["discrepancy", "--prime", "101", "--boxes", "100000000"], id="discrepancy-boxes"
         ),
-        # box sweeps reading more than MAX_SWEEP_CELLS table cells: once hours of work
         pytest.param(["discrepancy", "--prime", "999983"], id="discrepancy-sweep"),
-        pytest.param(["discrepancy", "--prime", "23173"], id="discrepancy-first-prime-outside"),
         # the sweep's largest prime reads phi(p-1) tables of p-1 entries: once a hang
         pytest.param(["fixed-points", "--max-prime", "100000000"], id="fixed-points-max-prime"),
-        pytest.param(["fixed-points", "--max-prime", "5793"], id="fixed-points-first-outside"),
-        # whole-family cycle runs above MAX_FAMILY_CELLS: once hours of work
+        # whole-family runs far outside: once hours of work
         pytest.param(["cycle-dist", "--prime", "999983"], id="cycle-dist-family"),
         pytest.param(["cycles", "--prime", "999983", "--generator", "all"], id="cycles-all-family"),
         pytest.param(["kcycles", "--prime", "999983"], id="kcycles-family"),
-        pytest.param(["cycle-dist", "--prime", "11633"], id="cycle-dist-first-outside"),
-        # --generator all above MAX_FAMILY_CELLS over all its kernel calls: once hours of work
-        pytest.param(["sidon", "--prime", "5791", "--generator", "all"], id="sidon-all-family"),
-        pytest.param(
-            ["sidon", "--prime", "557", "--generator", "all"], id="sidon-all-first-outside"
-        ),
+        pytest.param(["sidon", "--prime", "999983", "--generator", "all"], id="sidon-all-family"),
         pytest.param(
             ["char-sums", "--prime", "11633", "--generator", "all"], id="char-sums-all-family"
         ),
-    ],
+    ]
+    + [pytest.param(argv.split(), id=name) for name, argv in _FIRST_REJECTED.items()],
 )
-def test_prime_above_table_limit_is_input_error(capsys, argv):
-    code = main(argv)
+def test_prime_above_table_limit_is_input_error(capsys, tmp_path, argv):
+    out = tmp_path / "out"
+    code = main([token.replace("{out}", str(out)) for token in argv])
     captured = capsys.readouterr()
     assert code == 1
     assert captured.out == ""
     assert captured.err.startswith("elgamalmap: error: ")
+    assert " above the supported maximum " in captured.err
     assert captured.err.count("\n") == 1
+    assert not out.exists()
 
 
-def test_family_envelope_admits_every_prime_to_10007(capsys):
-    for p in range(3, 10008, 2):
+def test_envelope_admits_every_prime_to_10007():
+    """Every subcommand that takes --prime admits every odd prime up to
+    10007, with --generator all too, and fixed-points admits --max-prime
+    10007: the README's promise of primes up to 10^4.  The primes run on
+    to 10288, since 10289 is the first any subcommand rejects."""
+    rows = []
+    for name, _, _, _, flags in cli._SUBCOMMANDS:
+        if cli._PRIME in flags:
+            rows.append([name])
+            if cli._GENERATOR_OR_ALL in flags:
+                rows.append([name, "--generator", "all"])
+    assert len(rows) == 11
+    for p in range(3, 10289, 2):
         if is_prime(p):
-            cli._require_family(p, p - 1)
-    with pytest.raises(cli.InputError, match="11633 with all generators needs 67558656 cells"):
-        cli._require_family(11633, 11632)
-    # sidon checks generators * p*(p-1) pairs against the same cap
-    cli._require_family(631, 631 * 630)
-    with pytest.raises(cli.InputError, match="557 with all generators needs 85474992 cells"):
-        cli._require_family(557, 557 * 556)
-    assert main(["sidon", "--prime", "557", "--generator", "all"]) == 1
-    assert capsys.readouterr().err == (
-        "elgamalmap: error: --prime 557 with all generators needs 85474992 cells,"
-        " above the supported maximum 67108864\n"
-    )
+            for row in rows:
+                assert _admitted([*row, "--prime", str(p)]), (row, p)
+    assert _admitted(["fixed-points", "--max-prime", "10007"])
 
 
-def test_sweep_envelope_edges():
-    """The discrepancy cap admits p = 23167 without random boxes, and the
-    benchmark's 20000 boxes at 10007; 23173 is the first prime outside."""
-    assert 23166 * (23167 + 2) <= cli.MAX_SWEEP_CELLS < 23172 * (23173 + 2)
-    assert 10006 * (10007 + 2 + 20000) <= cli.MAX_SWEEP_CELLS
+@pytest.mark.parametrize(
+    "argv", [pytest.param(argv.split(), id=name) for name, argv in _LARGEST_ADMITTED.items()]
+)
+def test_envelope_admits_largest_input(argv):
+    assert _admitted(argv)
+
+
+def test_benchmark_invocations_are_inside_the_envelope():
+    """An invocation the envelope rejects exits 1 and would lower the
+    benchmark's ok_frac; its workloads are read, not imported, so nothing
+    is written under perfbench/."""
+    workloads = runpy.run_path(str(ROOT / "perfbench" / "workloads.py"))
+    for workload in workloads["WORKLOADS"]:
+        for size in ("full", "tiny"):
+            for seed in range(3):
+                for argv in workloads["invocations"](workload, seed, size):
+                    assert _admitted(argv), (workload, size, seed, argv)
 
 
 def test_discrepancy_runs_at_the_largest_admitted_prime(capsys):
@@ -357,12 +435,12 @@ def test_discrepancy_runs_at_the_largest_admitted_prime(capsys):
 
 def test_stirling_envelope_edge(capsys):
     """The exact baseline's recurrence reads n(n+1)/2 cells: every degree
-    up to 11584 is admitted, which covers the degree 10006 of
-    `cycle-dist --prime 10007`, and 11585 is the first degree outside."""
-    assert 10006 * 10007 // 2 <= 11584 * 11585 // 2 <= cli.MAX_FAMILY_CELLS < 11585 * 11586 // 2
+    up to 11584 is admitted and runs, and 11585 is the first degree
+    outside."""
     code, out = run(capsys, "random-baseline", "--degree", "11584", "--samples", "1")
     assert code == 0
     assert out.splitlines()[0] == "c,theory_percent,random_percent"
+    assert not _admitted(["random-baseline", "--degree", "11585", "--samples", "1"])
 
 
 def test_sidon_counts_past_the_old_dense_cap(capsys):
@@ -415,6 +493,25 @@ def test_negative_seed_is_usage_error(capsys, argv):
     assert lines[0].startswith("usage: ")
     assert lines[-1].endswith(": error: argument --seed: must be >= 0, got -1")
     assert sum("error" in line for line in lines) == 1
+
+
+@pytest.mark.parametrize(
+    "argv, error",
+    [
+        (["random-baseline", "--degree", "0", "--samples", "1"], "--degree: must be >= 1, got 0"),
+        (["random-baseline", "--degree", "1", "--samples", "0"], "--samples: must be >= 1, got 0"),
+        (["kcycles", "--prime", "5", "--k-max", "0"], "--k-max: must be >= 1, got 0"),
+        (["fixed-points", "--max-prime", "1"], "--max-prime: must be >= 2, got 1"),
+        (["discrepancy", "--prime", "5", "--boxes", "-1"], "--boxes: must be >= 0, got -1"),
+    ],
+)
+def test_count_below_its_minimum_is_usage_error(capsys, argv, error):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    captured = capsys.readouterr()
+    assert exc.value.code == 1
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1].endswith(f": error: argument {error}")
 
 
 def test_non_generator_is_input_error(capsys, tmp_path):
@@ -493,7 +590,7 @@ def _flag_value(name):
 @st.composite
 def _argv(draw):
     """A subcommand from the CLI's own table, with a draw of its flags."""
-    name, _, _, flags = draw(st.sampled_from(cli._SUBCOMMANDS))
+    name, *_, flags = draw(st.sampled_from(cli._SUBCOMMANDS))
     argv = [name]
     if draw(st.booleans()):
         argv += ["--out", draw(st.sampled_from([f"{_TMP}/out.txt", f"{_TMP}/missing/out.txt"]))]

@@ -52,18 +52,24 @@ def _direct_character_maximum(p, g):
 @pytest.mark.parametrize("p", [3, 5, 7, 13, 61, 101, 1009])
 def test_family_route_matches_direct_route(p):
     """Reading the smallest generator's table at j*x mod p-1 gives every
-    generator's own table, Sidon check and largest character sum.  At
-    1009 the Sidon check (about 20 ms a graph) runs on 8 of the 288
-    generators; the tables of all of them are compared."""
+    generator's own table, Sidon check and largest character sum.  Each
+    checked graph has the `ok` and `diff_set_size` of g0's graph, the one
+    count `sidon` makes for all generators.  At 1009 the Sidon check
+    (about 20 ms a graph) runs on 8 of the 288 generators; the tables of
+    all of them are compared."""
     generators = all_generators(p)
     graphs = build_graphs(p, generators)
     checked = set(generators if p < 1000 else generators[:4] + generators[-4:])
+    assert generators[0] == smallest_generator(p).g
+    smallest = verify_sidon(graphs[0])
     for g, graph in zip(generators, graphs):
         direct = _direct_graph(p, g)
         assert graph.g == g
         assert np.array_equal(graph.first, direct.first), g
         if g in checked:
-            assert verify_sidon(graph) == verify_sidon(direct), g
+            check = verify_sidon(direct)
+            assert verify_sidon(graph) == check, g
+            assert (check.ok, check.diff_set_size) == (smallest.ok, smallest.diff_set_size), g
     family = max_nontrivial_character_sums(p, generators)
     assert [g for g, _, _ in family] == generators
     assert len({value for _, value, _ in family}) == 1
