@@ -2,16 +2,19 @@
 
 The set {(g**x mod p, x) : x in Z_{p-1}} is a Sidon set: every nonzero
 element of the product group arises as a difference of two points at
-most once.  This module verifies that by exhaustive difference counting,
-measures the difference-set cardinality (which must be
-(p-1)**2 - (p-1) + 1), evaluates additive characters of the product
-group against the point set, and computes the incomplete exponential
-sums that control box equidistribution.
+most once, so the difference set has (p-1)*(p-2) + 1 elements.  This
+module certifies that from the power table's recurrence in O(p),
+evaluates additive characters of the product group against the point
+set, and computes the incomplete exponential sums that control box
+equidistribution.
 
-The difference count reads all (p-1)**2 ordered pairs, one block of
-exponent lags at a time, in O(p) memory.  The largest character sums of
-a whole generator family are one length-(p-1) FFT and the incomplete-sum
-total one O(n) pass over closed forms.
+The certificate is the Welch construction of Costas arrays (S. W.
+Golomb, "Algebraic constructions for Costas arrays", J. Combin. Theory
+A 37 (1984)): a table t with t[y+1] = g*t[y] that is a bijection onto
+Z_p^* has lag-v differences t[y+v] - t[y] = t[y]*(g**v - 1), distinct
+in y and nonzero for v != 0.  The largest character sums of a whole
+generator family are one length-(p-1) FFT and the incomplete-sum total
+one O(n) pass over closed forms.
 
 Exponents are the residues {0, ..., p-2} of Z_{p-1}, the index set of
 `numth.power_table`; the permutation module reads the same table at
@@ -27,7 +30,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numth import generator_logs
-from .permstat import _row_blocks
 
 __all__ = [
     "SidonGraph",
@@ -40,8 +42,6 @@ __all__ = [
     "polya_vinogradov_bound",
     "sidon_character_bound",
 ]
-
-Point = tuple[int, int]
 
 
 @dataclass(frozen=True, eq=False)
@@ -73,10 +73,6 @@ class SidonGraph:
     def size(self) -> int:
         return len(self.first)
 
-    @property
-    def points(self) -> list[Point]:
-        return [(int(u), v) for v, u in enumerate(self.first)]
-
 
 def build_graphs(p: int, generators: list[int]) -> list[SidonGraph]:
     """The p-1 points (g**x, x), x ascending from 0, for every g in
@@ -89,50 +85,41 @@ def build_graphs(p: int, generators: list[int]) -> list[SidonGraph]:
 
 @dataclass(frozen=True)
 class SidonCheck:
-    """Outcome of the exhaustive difference count.
+    """Outcome of the recurrence certificate.
 
-    `diff_set_size` is the cardinality of {a - b : a, b in the set},
-    zero difference included; for a genuine exponentiation graph it is
-    (p-1)**2 - (p-1) + 1.  On failure, `witness` holds two distinct
-    ordered point pairs ((a, b), (c, d)) with a - b = c - d != 0
-    componentwise mod (p, p-1).
+    When `ok`, the graph is Sidon and `diff_set_size` is the cardinality
+    (p-1)*(p-2) + 1 of {a - b : a, b in the set}, zero difference
+    included.  Otherwise `diff_set_size` is None and `broken_at` is the
+    first exponent y at which the table is 0, holds a value that occurs
+    more than once, or breaks t[(y+1) mod (p-1)] = g*t[y] mod p.
     """
 
     ok: bool
-    diff_set_size: int
-    witness: tuple[tuple[Point, Point], tuple[Point, Point]] | None = None
+    diff_set_size: int | None
+    broken_at: int | None = None
 
 
 def verify_sidon(graph: SidonGraph) -> SidonCheck:
-    """Count, for every difference, the ordered point pairs realizing
-    it; the set is Sidon iff every nonzero difference is realized at
-    most once.
+    """Certify the Sidon property of any table from p-1 cells: every
+    value occurs once, and t[(y+1) mod d] = g*t[y] mod p for every y, with
+    d = p-1.  A 0 at y needs no test of its own: its successor is then 0
+    too, a repeat, or breaks the recurrence, so y fails either way.
 
-    The graph has one point per exponent, so the pairs at exponent lag
-    v realize the differences (t[(y+v) mod d] - t[y] mod p, v) over y,
-    and lag 0 realizes only the zero difference.  Each block of lags
-    v = 1..d-1 (at most _BLOCK_CELLS pairs) is counted by one
-    `bincount` of lag_index*p + u, which stays exhaustive over all
-    size**2 ordered pairs in O(p) memory.  On failure the witness is the
-    first colliding difference in (v, u) lexicographic order, realized
-    by its two smallest y.
+    The test is sound for any table and g: when it passes,
+    t[y] = t[0]*g**y is a bijection onto Z_p^*, so g**v != 1 for
+    v != 0 mod d, and the pairs at exponent lag v realize the differences
+    (t[y]*(g**v - 1) mod p, v), one for each of the d distinct t[y].
+    Lags differ in the second coordinate, and lag 0 realizes only the
+    zero difference, so no nonzero difference repeats and there are
+    d*(d-1) + 1 differences (Golomb 1984, the Welch construction).  A
+    genuine power table passes by construction.
     """
     p, d, t = graph.p, graph.d, graph.first
-    shifted = np.lib.stride_tricks.sliding_window_view(np.concatenate([t, t]), d)
-    diff_set_size = 1  # the zero difference
-    witness = None
-    for start, stop in _row_blocks(d - 1, d):
-        codes = (shifted[start + 1 : stop + 1] - t) % p
-        codes += np.arange(0, (stop - start) * p, p)[:, None]
-        counts = np.bincount(codes.ravel(), minlength=(stop - start) * p)
-        diff_set_size += int(np.count_nonzero(counts))
-        collisions = np.flatnonzero(counts > 1)
-        if witness is None and len(collisions):
-            row = int(collisions[0]) // p
-            v, pts = start + 1 + row, graph.points
-            y1, y2 = np.flatnonzero(codes[row] == collisions[0])[:2].tolist()
-            witness = ((pts[(y1 + v) % d], pts[y1]), (pts[(y2 + v) % d], pts[y2]))
-    return SidonCheck(ok=witness is None, diff_set_size=diff_set_size, witness=witness)
+    broken = np.bincount(t)[t] != 1
+    broken |= np.roll(t, -1) != graph.g % p * t % p
+    if broken.any():
+        return SidonCheck(ok=False, diff_set_size=None, broken_at=int(np.argmax(broken)))
+    return SidonCheck(ok=True, diff_set_size=d * (d - 1) + 1)
 
 
 @dataclass(frozen=True)

@@ -31,6 +31,7 @@ from elgamalmap.sidon import (
 )
 
 from box_oracle import count_in_box, naive_count
+from sidon_oracle import dense_difference_counts
 
 
 def _criterion(number, description):
@@ -62,15 +63,17 @@ def test_criterion_01_generator_count():
 
 def test_criterion_02_sidon_exactness():
     with _criterion(2, "Sidon property and difference-set size, all p <= 200, all generators"):
-        pairs = 0
+        graphs = 0
         for p in _odd_primes_up_to(200):
             expected = (p - 1) ** 2 - (p - 1) + 1
             for graph in build_graphs(p, all_generators(p)):
+                counts = dense_difference_counts(graph)
+                assert counts[1:].max() == 1, (p, graph.g)  # every nonzero difference once
+                assert np.count_nonzero(counts) == expected, (p, graph.g)
                 check = verify_sidon(graph)
-                assert check.ok, (p, graph.g)
-                assert check.diff_set_size == expected, (p, graph.g)
-                pairs += 1
-        assert pairs > 1000  # sanity: the sweep really was exhaustive
+                assert (check.ok, check.diff_set_size) == (True, expected), (p, graph.g)
+                graphs += 1
+        assert graphs > 1000  # sanity: the sweep really was exhaustive
 
 
 def test_criterion_03_character_sum_bound_exhaustive():

@@ -14,7 +14,7 @@ from elgamalmap.cli import main
 from elgamalmap.discrepancy import sweep
 from elgamalmap.numth import is_prime, smallest_generator
 from elgamalmap.permstat import _BLOCK_CELLS
-from elgamalmap.sidon import build_graphs
+from elgamalmap.sidon import SidonGraph, build_graphs
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -121,6 +121,37 @@ def test_sidon_p3(capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["results"][0]["diff_set_size"] == 3
+
+
+@pytest.mark.parametrize("generator", ["smallest", "all"])
+def test_sidon_failure_exits_2_with_the_broken_exponent(capsys, monkeypatch, generator):
+    """A table that fails the certificate exits 2 with a null size in
+    every row and the first broken exponent of g0's table, a key that only
+    a failing run carries."""
+    argv = ["sidon", "--prime", "13", "--generator", generator]
+    _, out = run(capsys, *argv)
+    passing = json.loads(out)
+    real_build_graphs = cli.build_graphs
+
+    def corrupted(p, generators):
+        [graph] = real_build_graphs(p, generators)
+        first = graph.first.copy()
+        first[[3, 5]] = first[[5, 3]]  # now t[3] != g0*t[2]
+        return [SidonGraph(p=p, g=graph.g, first=first)]
+
+    monkeypatch.setattr(cli, "build_graphs", corrupted)
+    code, out = run(capsys, *argv)
+    doc = json.loads(out)
+    assert code == 2
+    assert doc["pass"] is False
+    assert doc["broken_at"] == 2
+    assert set(passing) == {"p", "results", "pass"}
+    assert set(doc) == set(passing) | {"broken_at"}
+    assert len(doc["results"]) == len(passing["results"]) == (1 if generator == "smallest" else 4)
+    for row, passing_row in zip(doc["results"], passing["results"]):
+        assert set(row) == set(passing_row)
+        assert (row["ok"], row["diff_set_size"]) == (False, None)
+        assert row["expected_diff_set_size"] == passing_row["diff_set_size"] == 133
 
 
 def test_char_sums_json(capsys):
@@ -276,7 +307,9 @@ def _admitted(argv: list[str]) -> bool:
 # The largest admitted input of each subcommand, whose time and peak RSS
 # the README's size-envelope table gives.  A run over all generators costs
 # phi(p-1)*(p-1), which is not monotone in p: 12487 has the most cells and
-# 14821 is the largest prime admitted.
+# 14821 is the largest prime admitted.  `sidon --generator all` costs its
+# phi(p-1) rows: 163841 has the most (2^16) and 330331 is the largest
+# prime admitted.
 _LARGEST_ADMITTED = {
     "cycles": "cycles --prime 999983",
     "cycles-all": "cycles --prime 12487 --generator all",
@@ -288,8 +321,9 @@ _LARGEST_ADMITTED = {
     "kcycles": "kcycles --prime 12487 --k-max 16384",
     "kcycles-default-k-max": "kcycles --prime 3",
     "fixed-points": "fixed-points --max-prime 20000",
-    "sidon": "sidon --prime 16381",
-    "sidon-all": "sidon --prime 16381 --generator all",
+    "sidon": "sidon --prime 999983",
+    "sidon-all": "sidon --prime 163841 --generator all",
+    "sidon-all-largest-prime": "sidon --prime 330331 --generator all",
     "char-sums": "char-sums --prime 524287",
     "char-sums-all": "char-sums --prime 12487 --generator all",
     "polya": "polya --n 1000000 --window 500000",
@@ -310,8 +344,8 @@ _FIRST_REJECTED = {
     "kcycles-first-outside": "kcycles --prime 10289",
     "kcycles-first-k-max-outside": "kcycles --prime 3 --k-max 16385",
     "fixed-points-first-outside": "fixed-points --max-prime 20001",
-    "sidon-first-prime-outside": "sidon --prime 16411",
-    "sidon-all-first-outside": "sidon --prime 16411 --generator all",
+    "sidon-first-prime-outside": "sidon --prime 1000003",
+    "sidon-all-first-outside": "sidon --prime 131213 --generator all",
     "char-sums-first-prime-outside": "char-sums --prime 524309",
     "char-sums-all-first-outside": "char-sums --prime 10289 --generator all",
     "polya-first-n-outside": "polya --n 1000001 --window 1",
@@ -330,8 +364,6 @@ _FIRST_REJECTED = {
         for sub in ["cycles", "sidon", "discrepancy", "sign-demo"]
     ]
     + [
-        # p*(p-1) ordered pairs far above the limit: once numpy _ArrayMemoryError
-        pytest.param(["sidon", "--prime", "100003"], id="sidon-dense"),
         pytest.param(["polya", "--n", "1000000000", "--window", "1"], id="polya-huge-n"),
         pytest.param(
             ["random-baseline", "--degree", "1000", "--samples", "100000"],
@@ -443,14 +475,14 @@ def test_stirling_envelope_edge(capsys):
     assert not _admitted(["random-baseline", "--degree", "11585", "--samples", "1"])
 
 
-def test_sidon_counts_past_the_old_dense_cap(capsys):
-    """The lag kernel holds O(p) cells, so p = 5801, once above the dense
-    cap, is checked in full."""
-    code, out = run(capsys, "sidon", "--prime", "5801")
+def test_sidon_certifies_at_the_table_limit(capsys):
+    """The certificate reads p-1 cells, so the largest admitted prime
+    runs and reports the formula size."""
+    code, out = run(capsys, "sidon", "--prime", "999983")
     assert code == 0
     result = json.loads(out)
     assert result["pass"] is True
-    assert result["results"][0]["diff_set_size"] == 5800**2 - 5800 + 1
+    assert result["results"][0]["diff_set_size"] == 999982**2 - 999982 + 1
 
 
 @pytest.mark.parametrize(

@@ -4,6 +4,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -40,15 +42,24 @@ def test_render_gallery_smoke(tmp_path):
     ]
 
 
-def test_benchmark_traced_child_runs(tmp_path):
+@pytest.mark.parametrize(
+    "argv, layer",
+    [
+        pytest.param(["sign-demo", "--prime", "5"], "numth.GroupParams", id="sign-demo"),
+        pytest.param(
+            ["sidon", "--prime", "5", "--generator", "all"], "sidon.verify_sidon", id="sidon"
+        ),
+    ],
+)
+def test_benchmark_traced_child_runs(tmp_path, argv, layer):
     """The benchmark's traced mode hooks package names (the dataclasses
-    GroupParams and Permutation among them); a deleted one makes every
-    traced child fail, which neither the plain benchmark run nor the
-    other tests see."""
+    GroupParams and Permutation among them) and reads `SidonGraph.size`
+    for the `sidon.verify_sidon` counter; a deleted one makes every traced
+    child fail, and a renamed function leaves its layer empty, which
+    neither the plain benchmark run nor the other tests see."""
     result_path = tmp_path / "result.json"
     result = _run_script(
-        "perfbench/child.py", "spans", str(result_path), str(2 * 2**30), "--",
-        "sign-demo", "--prime", "5",
+        "perfbench/child.py", "spans", str(result_path), str(2 * 2**30), "--", *argv
     )
     assert result.returncode == 0, result.stderr
-    assert "layers" in json.loads(result_path.read_text())
+    assert layer in json.loads(result_path.read_text())["layers"]

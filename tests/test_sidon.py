@@ -1,6 +1,5 @@
 import json
 import math
-from collections import Counter
 
 import numpy as np
 import pytest
@@ -8,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from elgamalmap.cli import main
-from elgamalmap.numth import all_generators, power_table, smallest_generator
+from elgamalmap.numth import all_generators, is_prime, power_table, smallest_generator
 from elgamalmap.sidon import (
     CharacterIndex,
     SidonGraph,
@@ -20,6 +19,13 @@ from elgamalmap.sidon import (
     verify_sidon,
 )
 
+from sidon_oracle import (
+    brute_force_difference_counts,
+    dense_difference_counts,
+    first_collision_witness,
+    points,
+)
+
 
 def _graph(p, g):
     [graph] = build_graphs(p, [g])
@@ -27,10 +33,10 @@ def _graph(p, g):
 
 
 def test_build_graph_examples():
-    assert _graph(3, 2).points == [(1, 0), (2, 1)]
-    assert _graph(5, 2).points == [(1, 0), (2, 1), (4, 2), (3, 3)]
+    assert points(_graph(3, 2)) == [(1, 0), (2, 1)]
+    assert points(_graph(5, 2)) == [(1, 0), (2, 1), (4, 2), (3, 3)]
     # 3 = 2**3 mod 5: the table of 2 read at 3*x mod 4
-    assert [graph.points for graph in build_graphs(5, [3, 2])] == [
+    assert [points(graph) for graph in build_graphs(5, [3, 2])] == [
         [(1, 0), (3, 1), (4, 2), (2, 3)],
         [(1, 0), (2, 1), (4, 2), (3, 3)],
     ]
@@ -53,23 +59,18 @@ def _direct_character_maximum(p, g):
 def test_family_route_matches_direct_route(p):
     """Reading the smallest generator's table at j*x mod p-1 gives every
     generator's own table, Sidon check and largest character sum.  Each
-    checked graph has the `ok` and `diff_set_size` of g0's graph, the one
-    count `sidon` makes for all generators.  At 1009 the Sidon check
-    (about 20 ms a graph) runs on 8 of the 288 generators; the tables of
-    all of them are compared."""
+    graph has the `ok` and `diff_set_size` of g0's graph, the one
+    certificate `sidon` makes for all generators."""
     generators = all_generators(p)
     graphs = build_graphs(p, generators)
-    checked = set(generators if p < 1000 else generators[:4] + generators[-4:])
     assert generators[0] == smallest_generator(p).g
     smallest = verify_sidon(graphs[0])
     for g, graph in zip(generators, graphs):
         direct = _direct_graph(p, g)
         assert graph.g == g
         assert np.array_equal(graph.first, direct.first), g
-        if g in checked:
-            check = verify_sidon(direct)
-            assert verify_sidon(graph) == check, g
-            assert (check.ok, check.diff_set_size) == (smallest.ok, smallest.diff_set_size), g
+        check = verify_sidon(direct)
+        assert verify_sidon(graph) == check == smallest, g
     family = max_nontrivial_character_sums(p, generators)
     assert [g for g, _, _ in family] == generators
     assert len({value for _, value, _ in family}) == 1
@@ -83,21 +84,9 @@ def test_family_route_matches_direct_route(p):
 def test_graph_has_p_minus_1_points(p):
     graph = _graph(p, smallest_generator(p).g)
     assert graph.size == p - 1
-    firsts = {u for u, _ in graph.points}
+    firsts = {u for u, _ in points(graph)}
     assert len(firsts) == p - 1 and 0 not in firsts
-    assert [v for _, v in graph.points] == list(range(p - 1))
-
-
-def _brute_force_difference_counts(points, p):
-    """Independent oracle: dict-count every ordered nonzero difference."""
-    d = p - 1
-    counts = Counter()
-    for a in points:
-        for b in points:
-            if a == b:
-                continue
-            counts[((a[0] - b[0]) % p, (a[1] - b[1]) % d)] += 1
-    return counts
+    assert [v for _, v in points(graph)] == list(range(p - 1))
 
 
 def test_verify_sidon_small_graphs():
@@ -105,25 +94,18 @@ def test_verify_sidon_small_graphs():
     assert verify_sidon(_graph(3, 2)).ok
 
 
-def _dense_difference_counts(graph):
-    """Oracle: every ordered pair's difference encoded as u*(p-1) + v and
-    counted in one bincount over the p*(p-1) grid."""
-    p, d = graph.p, graph.d
-    second = np.arange(d)
-    codes = (graph.first[:, None] - graph.first[None, :]) % p * d
-    codes += (second[:, None] - second[None, :]) % d
-    return np.bincount(codes.ravel(), minlength=p * d)
-
-
 def test_verify_sidon_failure_witness():
     # The arithmetic progression t[y] = y is not Sidon: the pairs at lag v
-    # that do not wrap all differ by (v, v).
+    # that do not wrap all differ by (v, v).  The certificate rejects it
+    # at y = 0, where the table is 0.
     graph = SidonGraph(p=5, g=0, first=np.arange(4))
     check = verify_sidon(graph)
-    assert not check.ok
-    assert check.witness == (((1, 1), (0, 0)), ((2, 2), (1, 1)))
+    assert (check.ok, check.diff_set_size, check.broken_at) == (False, None, 0)
+    pts = points(graph)
+    assert first_collision_witness(pts, 5) == (((1, 1), (0, 0)), ((2, 2), (1, 1)))
     # (0, 0), then (v, v) and, across the wrap, (v - 4 mod 5, v) for v = 1, 2, 3
-    assert check.diff_set_size == 7
+    assert len(brute_force_difference_counts(pts, 5)) + 1 == 7
+    assert np.count_nonzero(dense_difference_counts(graph)) == 7
 
 
 def test_graph_table_validation():
@@ -137,7 +119,8 @@ def test_graph_table_validation():
         SidonGraph(p=5, g=0, first=np.array([0, -1, 2, 3]))
     with pytest.raises(ValueError):
         SidonGraph(p=2, g=0, first=np.array([1]))  # no p >= 3
-    assert SidonGraph(p=5, g=0, first=np.array([0, 0, 4, 4])).points == [
+    # any table of p-1 values in [0, p) is a graph, repeats included
+    assert points(SidonGraph(p=5, g=0, first=np.array([0, 0, 4, 4]))) == [
         (0, 0), (0, 1), (4, 2), (4, 3)
     ]
 
@@ -145,7 +128,7 @@ def test_graph_table_validation():
 @pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 17, 19, 23, 29, 31])
 def test_sidon_and_difference_size_against_oracle(p):
     for graph in build_graphs(p, all_generators(p)):
-        counts = _brute_force_difference_counts(graph.points, p)
+        counts = brute_force_difference_counts(points(graph), p)
         assert max(counts.values()) == 1
         check = verify_sidon(graph)
         assert check.ok
@@ -162,49 +145,80 @@ def test_difference_set_size_at_1009():
     assert verify_sidon(graph).diff_set_size == 1008**2 - 1008 + 1 == 1015057
 
 
-def _first_collision_witness(points, p):
-    """Oracle for the witness: the first colliding difference in (v, u)
-    order, realized by the pairs (a, b) of its two smallest exponents b."""
-    d = p - 1
-    counts = _brute_force_difference_counts(points, p)
-    v, u = min((v, u) for (u, v), count in counts.items() if count > 1)
-    pairs = sorted(
-        (b[1], (a, b))
-        for a in points
-        for b in points
-        if ((a[0] - b[0]) % p, (a[1] - b[1]) % d) == (u, v)
-    )
-    return pairs[0][1], pairs[1][1]
+def _first_broken_exponent(graph):
+    """Oracle for `broken_at`: the first y whose table value is 0 or
+    occurs twice, or whose successor is not g times it, else None."""
+    p, d, g = graph.p, graph.d, graph.g
+    t = graph.first.tolist()
+    for y in range(d):
+        if t[y] == 0 or t.count(t[y]) > 1 or t[(y + 1) % d] != g * t[y] % p:
+            return y
+    return None
 
 
-@settings(max_examples=60, deadline=None)
-@given(
-    st.sampled_from([3, 5, 7, 11, 13, 17, 131, 137]),
-    st.data(),
-)
-def test_random_tables_match_oracle(p, data):
-    """Verdict, difference-set size and witness agree with the
-    brute-force count and the dense grid on arbitrary tables
-    t: Z_{p-1} -> Z_p, most of them not Sidon.  At 131 and 137 a block
-    holds 126 and 120 lags, so the 129 and 135 lags span two blocks."""
+@st.composite
+def _tables(draw):
+    """(p, g, table) with table: Z_{p-1} -> Z_p and g any integer: scaled
+    power tables c*g**y, which the certificate accepts, those with one
+    entry changed, and arbitrary tables, most of them not Sidon."""
+    p = draw(st.sampled_from([3, 5, 7, 11, 13, 17, 61, 137]))
     d = p - 1
-    values = data.draw(
-        st.one_of(
-            st.permutations(range(1, p)),  # injective, like a power table
-            st.lists(st.integers(0, p - 1), min_size=d, max_size=d),
-        )
-    )
-    graph = SidonGraph(p=p, g=0, first=np.array(values, dtype=np.int64))
-    points = graph.points
-    counts = _brute_force_difference_counts(points, p)
-    dense = _dense_difference_counts(graph)
+    generators = all_generators(p)
+    g = draw(st.one_of(st.sampled_from(generators), st.integers(-2 * p, 2 * p)))
+    kind = draw(st.sampled_from(["scaled", "changed", "permutation", "arbitrary"]))
+    if kind == "permutation":  # injective and nonzero, like a power table
+        return p, g, draw(st.permutations(range(1, p)))
+    if kind == "arbitrary":
+        return p, g, draw(st.lists(st.integers(0, p - 1), min_size=d, max_size=d))
+    c = draw(st.integers(1, p - 1))
+    table = [c * pow(g, y, p) % p for y in range(d)]
+    if kind == "changed":
+        table[draw(st.integers(0, d - 1))] = draw(st.integers(0, p - 1))
+    return p, g, table
+
+
+@settings(max_examples=200, deadline=None)
+@given(_tables())
+def test_random_tables_match_oracle(case):
+    """The certificate is sound on arbitrary tables t: Z_{p-1} -> Z_p:
+    when it accepts, the exhaustive count finds a Sidon set with
+    (p-1)(p-2) + 1 differences; when it rejects, `broken_at` is the first
+    exponent that breaks the per-y definition.  The converse need not
+    hold: a Sidon table need not satisfy the recurrence."""
+    p, g, values = case
+    graph = SidonGraph(p=p, g=g, first=np.array(values, dtype=np.int64))
     check = verify_sidon(graph)
-    assert check.ok == (max(counts.values()) <= 1) == (dense[1:].max() <= 1)
-    assert check.diff_set_size == len(counts) + 1 == np.count_nonzero(dense)
+    assert check.broken_at == _first_broken_exponent(graph)
     if check.ok:
-        assert check.witness is None
+        dense = dense_difference_counts(graph)
+        assert dense[1:].max() <= 1
+        assert check.diff_set_size == np.count_nonzero(dense) == (p - 1) * (p - 2) + 1
+        assert max(brute_force_difference_counts(points(graph), p).values()) == 1
     else:
-        assert check.witness == _first_collision_witness(points, p)
+        assert check.diff_set_size is None
+
+
+def test_every_swap_of_a_power_table_is_rejected():
+    """Exchanging entries i < j of g0's table breaks the recurrence first
+    at y = i-1 (at y = 0 when i = 0), so from p = 5 on the certificate
+    rejects every such table, whether or not it is still Sidon.  The one
+    swap at p = 3 gives 2*2**y, a scaled power table, which it accepts."""
+    assert verify_sidon(SidonGraph(p=3, g=2, first=np.array([2, 1]))).ok
+    swaps = 0
+    for p in range(5, 102):
+        if not is_prime(p):
+            continue
+        g = smallest_generator(p).g
+        table = _graph(p, g).first
+        for i in range(p - 1):
+            for j in range(i + 1, p - 1):
+                swapped = table.copy()
+                swapped[[i, j]] = swapped[[j, i]]
+                check = verify_sidon(SidonGraph(p=p, g=g, first=swapped))
+                assert (check.ok, check.diff_set_size) == (False, None), (p, i, j)
+                assert check.broken_at == max(i - 1, 0), (p, i, j)
+                swaps += 1
+    assert swaps == sum(math.comb(p - 1, 2) for p in range(5, 102) if is_prime(p))
 
 
 def _dense_character_maximum(p, first, second):
