@@ -33,12 +33,11 @@ from .permstat import (
 )
 from .render import cycle_diagram_svg
 from .sidon import (
-    CharacterIndex,
     SidonCheck,
     SidonGraph,
-    build_graphs,
+    build_graph,
     incomplete_exponential_sum_total,
-    max_nontrivial_character_sums,
+    max_nontrivial_character_sum,
     polya_vinogradov_bound,
     sidon_character_bound,
     verify_sidon,

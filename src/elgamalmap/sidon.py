@@ -12,9 +12,10 @@ The certificate is the Welch construction of Costas arrays (S. W.
 Golomb, "Algebraic constructions for Costas arrays", J. Combin. Theory
 A 37 (1984)): a table t with t[y+1] = g*t[y] that is a bijection onto
 Z_p^* has lag-v differences t[y+v] - t[y] = t[y]*(g**v - 1), distinct
-in y and nonzero for v != 0.  The largest character sums of a whole
-generator family are one length-(p-1) FFT and the incomplete-sum total
-one O(n) pass over closed forms.
+in y and nonzero for v != 0.  The largest nontrivial character sum of
+such a table is a Gauss-sum magnitude, exactly sqrt(p); one
+length-(p-1) FFT certifies it, and the incomplete-sum total is one O(n)
+pass over closed forms.
 
 Exponents are the residues {0, ..., p-2} of Z_{p-1}, the index set of
 `numth.power_table`; the permutation module reads the same table at
@@ -33,11 +34,10 @@ from .numth import generator_logs
 
 __all__ = [
     "SidonGraph",
-    "CharacterIndex",
     "SidonCheck",
-    "build_graphs",
+    "build_graph",
     "verify_sidon",
-    "max_nontrivial_character_sums",
+    "max_nontrivial_character_sum",
     "incomplete_exponential_sum_total",
     "polya_vinogradov_bound",
     "sidon_character_bound",
@@ -49,9 +49,10 @@ class SidonGraph:
     """The graph {(first[x], x) : x in Z_{p-1}} of a table
     first: Z_{p-1} -> Z_p, one point per exponent.
 
-    Genuine graphs from `build_graphs` hold the power table of g; any
+    Genuine graphs from `build_graph` hold the power table of g; any
     other table of p-1 values in [0, p) may be wrapped directly, so that
-    the failure path of `verify_sidon` can be exercised.
+    the failure paths of `verify_sidon` and `max_nontrivial_character_sum`
+    can be exercised.
     """
 
     p: int
@@ -74,13 +75,13 @@ class SidonGraph:
         return len(self.first)
 
 
-def build_graphs(p: int, generators: list[int]) -> list[SidonGraph]:
-    """The p-1 points (g**x, x), x ascending from 0, for every g in
-    `generators`, in the order given: g = g0**j reads the smallest
-    generator g0's one table at j*x mod (p-1)."""
-    table, log = generator_logs(p, generators)
+def build_graph(p: int, g: int) -> SidonGraph:
+    """The p-1 points (g**x, x), x ascending from 0, after the checks of
+    `generator_logs` on g: g = g0**j reads the smallest generator g0's
+    one table at j*x mod (p-1)."""
+    table, log = generator_logs(p, [g])
     x = np.arange(p - 1, dtype=np.int64)
-    return [SidonGraph(p=p, g=g, first=table[int(log[g]) * x % (p - 1)]) for g in generators]
+    return SidonGraph(p=p, g=g, first=table[int(log[g]) * x % (p - 1)])
 
 
 @dataclass(frozen=True)
@@ -122,44 +123,37 @@ def verify_sidon(graph: SidonGraph) -> SidonCheck:
     return SidonCheck(ok=True, diff_set_size=d * (d - 1) + 1)
 
 
-@dataclass(frozen=True)
-class CharacterIndex:
-    """Index (s, t) of the additive character
-    (x, y) -> exp(2*pi*i*(s*x/p + t*y/(p-1))) of Z_p x Z_{p-1}.
+def max_nontrivial_character_sum(graph: SidonGraph) -> tuple[float, int | None]:
+    """(max_sum, off_at): the largest magnitude of the graph's sums over
+    all p*(p-1) - 1 nontrivial characters (x, y) ->
+    exp(2*pi*i*(s*x/p + t*y/(p-1))), certified against its exact value.
 
-    The character is trivial iff s = 0 and t = 0.
+    For a power table (first[y+1] = g*first[y], which `verify_sidon`
+    certifies) the sums at s = 0, t != 0 are exactly 0, and shifting y by
+    k maps the sum at (s, t) to the one at (s*g**k, t) times a unit phase,
+    so every row s != 0 has the magnitudes of row 1, the one row computed:
+    one length-(p-1) FFT of exp(2*pi*i*first/p), -1 at t = 0 and Gauss
+    sums of magnitude exactly sqrt(p) at t != 0 (Ireland and Rosen,
+    ch. 8).  The maximum is sqrt(p), first reached at (1, 1) in row-major
+    order.
+
+    When every |row[t]| lies within 1e-9*sqrt(p) of its exact value (over
+    1000 times the FFT's rounding error up to p = 10**6), the result is
+    (math.sqrt(p), None), so no digit depends on rounding; otherwise it is
+    the measured row maximum and the first t that is off.  A table that
+    is not a power table is checked on row 1 alone.
     """
-
-    s: int
-    t: int
-
-
-def max_nontrivial_character_sums(p: int, generators: list[int]) -> list[tuple]:
-    """(g, value, index) for every g in `generators`, in the order given:
-    the largest character-sum magnitude over all p*(p-1) - 1 nontrivial
-    characters of the graph of x -> g**x, and its CharacterIndex.
-
-    Shifting x by k maps the sum at (s, t) to the one at (s*g**k, t)
-    times a unit phase, so every row s != 0 has the magnitudes of row 1,
-    and row 0 is exactly 0 for t != 0.  Row 1 is one length-(p-1) FFT of
-    exp(2*pi*i*g**x/p); its entries for t != 0 are Gauss sums of
-    magnitude sqrt(p) (Ireland and Rosen, ch. 8).  For g = g0**j the
-    row of g at t is the row of the smallest generator g0 at t*j**-1
-    mod p-1, so one FFT serves the family and every g gets the same
-    float.  The index is (1, t) for the first t whose magnitude lies
-    within a relative 1e-9 of the maximum, which is (1, 1): the first
-    index in row-major order of the full grid, picked by a rule rather
-    than by rounding noise.
-    """
-    table, log = generator_logs(p, generators)
-    row = np.abs(np.fft.fft(np.exp(2j * np.pi * table / p)))
+    p = graph.p
+    root, tol = math.sqrt(p), 1e-9 * math.sqrt(p)
+    row = np.multiply(graph.first, 2j * np.pi / p)
+    np.exp(row, out=row)
+    row = np.abs(np.fft.fft(row))
     peak = float(row.max())
-    near = row >= peak * (1.0 - 1e-9)
-    inverses = [pow(int(log[g]), -1, p - 1) for g in generators]
-    return [
-        (g, peak, CharacterIndex(1, next(t for t in range(p - 1) if near[t * k % (p - 1)])))
-        for g, k in zip(generators, inverses)
-    ]
+    if abs(row[0] - 1.0) <= tol and root - tol <= row[1:].min() and peak <= root + tol:
+        return root, None
+    exact = np.full(p - 1, root)
+    exact[0] = 1.0
+    return peak, int(np.argmax(np.abs(row - exact) > tol))
 
 
 def incomplete_exponential_sum_total(n: int, N: int) -> float:

@@ -22,10 +22,9 @@ from elgamalmap.permstat import (
     stirling_cycle_distribution,
 )
 from elgamalmap.sidon import (
-    CharacterIndex,
-    build_graphs,
+    build_graph,
     incomplete_exponential_sum_total,
-    max_nontrivial_character_sums,
+    max_nontrivial_character_sum,
     sidon_character_bound,
     verify_sidon,
 )
@@ -66,7 +65,7 @@ def test_criterion_02_sidon_exactness():
         graphs = 0
         for p in _odd_primes_up_to(200):
             expected = (p - 1) ** 2 - (p - 1) + 1
-            for graph in build_graphs(p, all_generators(p)):
+            for graph in [build_graph(p, g) for g in all_generators(p)]:
                 counts = dense_difference_counts(graph)
                 assert counts[1:].max() == 1, (p, graph.g)  # every nonzero difference once
                 assert np.count_nonzero(counts) == expected, (p, graph.g)
@@ -80,26 +79,34 @@ def test_criterion_03_character_sum_bound_exhaustive():
     with _criterion(3, "every nontrivial character sum < sqrt(3(p-1)), 3 <= p <= 61"):
         for p in _odd_primes_up_to(61):
             bound = sidon_character_bound(p)
-            for g, value, chi in max_nontrivial_character_sums(p, all_generators(p)):
-                assert (chi.s, chi.t) != (0, 0)
+            for g in all_generators(p):
+                graph = build_graph(p, g)
+                value, off_at = max_nontrivial_character_sum(graph)
+                assert (value, off_at) == (math.sqrt(p), None), (p, g)
+                # every character at once: the 2-D FFT of the indicator grid
+                indicator = np.zeros((p, p - 1))
+                indicator[graph.first, np.arange(p - 1)] = 1.0
+                sums = np.abs(np.fft.fft2(indicator))
+                sums[0, 0] = 0.0  # the trivial character
+                assert abs(float(sums.max()) - value) <= 1e-9 * value, (p, g)
                 assert bound - value > 1e-9, (p, g, value)
 
 
-def _character_sum(graph, chi):
+def _character_sum(graph, s, t):
     """Direct evaluator: |sum over points of exp(2*pi*i*(s*x/p + t*y/(p-1)))|,
     from exact integer phase indices into root-of-unity tables."""
     p, d = graph.p, graph.d
     wp = np.exp(2j * np.pi * np.arange(p) / p)
     wd = np.exp(2j * np.pi * np.arange(d) / d)
-    return float(abs((wp[(chi.s * graph.first) % p] * wd[(chi.t * np.arange(d)) % d]).sum()))
+    return float(abs((wp[(s * graph.first) % p] * wd[(t * np.arange(d)) % d]).sum()))
 
 
 def test_criterion_04_parseval():
     with _criterion(4, "Parseval: sum of squared character sums = p(p-1)^2, p in {5,13,61}"):
         for p in (5, 13, 61):
-            [graph] = build_graphs(p, [smallest_generator(p).g])
+            graph = build_graph(p, smallest_generator(p).g)
             total = sum(
-                _character_sum(graph, CharacterIndex(s, t)) ** 2
+                _character_sum(graph, s, t) ** 2
                 for s in range(p)
                 for t in range(p - 1)
             )
@@ -142,7 +149,7 @@ def test_criterion_06_box_deviation_bound():
             (10007, smallest_generator(10007).g),
         ]
         for p, g in cases:
-            [graph] = build_graphs(p, [g])
+            graph = build_graph(p, g)
             report = sweep(graph, num_random_boxes=10_000, seed=42)
             bound = theorem_bound(p)
             assert report.max_deviation <= bound, p

@@ -1,10 +1,12 @@
 import contextlib
 import io
 import json
+import math
 import runpy
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -14,7 +16,7 @@ from elgamalmap.cli import main
 from elgamalmap.discrepancy import sweep
 from elgamalmap.numth import is_prime, smallest_generator
 from elgamalmap.permstat import _BLOCK_CELLS
-from elgamalmap.sidon import SidonGraph, build_graphs
+from elgamalmap.sidon import SidonGraph, build_graph
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -123,6 +125,14 @@ def test_sidon_p3(capsys):
     assert doc["results"][0]["diff_set_size"] == 3
 
 
+def _swapped_build_graph(p, g):
+    """`build_graph` with entries 3 and 5 of the table exchanged."""
+    graph = build_graph(p, g)
+    first = graph.first.copy()
+    first[[3, 5]] = first[[5, 3]]
+    return SidonGraph(p=p, g=g, first=first)
+
+
 @pytest.mark.parametrize("generator", ["smallest", "all"])
 def test_sidon_failure_exits_2_with_the_broken_exponent(capsys, monkeypatch, generator):
     """A table that fails the certificate exits 2 with a null size in
@@ -131,15 +141,7 @@ def test_sidon_failure_exits_2_with_the_broken_exponent(capsys, monkeypatch, gen
     argv = ["sidon", "--prime", "13", "--generator", generator]
     _, out = run(capsys, *argv)
     passing = json.loads(out)
-    real_build_graphs = cli.build_graphs
-
-    def corrupted(p, generators):
-        [graph] = real_build_graphs(p, generators)
-        first = graph.first.copy()
-        first[[3, 5]] = first[[5, 3]]  # now t[3] != g0*t[2]
-        return [SidonGraph(p=p, g=graph.g, first=first)]
-
-    monkeypatch.setattr(cli, "build_graphs", corrupted)
+    monkeypatch.setattr(cli, "build_graph", _swapped_build_graph)  # now t[3] != g0*t[2]
     code, out = run(capsys, *argv)
     doc = json.loads(out)
     assert code == 2
@@ -158,11 +160,38 @@ def test_char_sums_json(capsys):
     code, out = run(capsys, "char-sums", "--prime", "5", "--generator", "2")
     assert code == 0
     doc = json.loads(out)
+    assert set(doc) == {"p", "results", "pass"}
     result = doc["results"][0]
     assert result["pass"] is True
     assert result["bound"] == pytest.approx(3.4641016151377544)
-    assert result["max_sum"] < result["bound"]
-    assert (result["argmax_s"], result["argmax_t"]) != (0, 0)
+    assert result["max_sum"] == math.sqrt(5) < result["bound"]
+    assert (result["argmax_s"], result["argmax_t"]) == (1, 1)
+
+
+@pytest.mark.parametrize("generator", ["smallest", "all"])
+def test_char_sums_failure_exits_2_with_the_off_index(capsys, monkeypatch, generator):
+    """A table whose row of sums is off the exact profile exits 2 with
+    `pass` false in every row and the first t that is off, a key that
+    only a failing run carries; `max_sum` is then the measured maximum."""
+    argv = ["char-sums", "--prime", "13", "--generator", generator]
+    _, out = run(capsys, *argv)
+    passing = json.loads(out)
+    monkeypatch.setattr(cli, "build_graph", _swapped_build_graph)
+    code, out = run(capsys, *argv)
+    doc = json.loads(out)
+    assert code == 2
+    assert doc["pass"] is False
+    assert set(passing) == {"p", "results", "pass"}
+    assert set(doc) == set(passing) | {"off_at"}
+    first = _swapped_build_graph(13, smallest_generator(13).g).first
+    sums = np.abs(np.fft.fft(np.exp(2j * np.pi * first / 13)))
+    exact = np.where(np.arange(12) == 0, 1.0, math.sqrt(13))
+    assert doc["off_at"] == int(np.argmax(np.abs(sums - exact) > 1e-9 * math.sqrt(13)))
+    assert len(doc["results"]) == len(passing["results"]) == (1 if generator == "smallest" else 4)
+    for row, passing_row in zip(doc["results"], passing["results"]):
+        assert set(row) == set(passing_row)
+        assert (row["pass"], passing_row["pass"]) == (False, True)
+        assert row["max_sum"] == pytest.approx(float(sums.max()), rel=1e-12)
 
 
 def test_polya_json(capsys):
@@ -229,7 +258,7 @@ def test_discrepancy_csv_is_byte_identical_across_blocks(capsys, tmp_path):
     def fmt(value):
         return f"{value:.6f}" if isinstance(value, float) else str(value)
 
-    [graph] = build_graphs(p, [smallest_generator(p).g])
+    graph = build_graph(p, smallest_generator(p).g)
     report = sweep(graph, boxes, seed)
     columns = (*report.boxes.T, report.hits, report.expected, report.deviation,
                report.ratio, report.large_box.astype(int))
@@ -309,7 +338,8 @@ def _admitted(argv: list[str]) -> bool:
 # phi(p-1)*(p-1), which is not monotone in p: 12487 has the most cells and
 # 14821 is the largest prime admitted.  `sidon --generator all` costs its
 # phi(p-1) rows: 163841 has the most (2^16) and 330331 is the largest
-# prime admitted.
+# prime admitted.  `char-sums --generator all` costs its rows too, against
+# 2^15: 65537 has the most (2^15) and 158341 is the largest prime admitted.
 _LARGEST_ADMITTED = {
     "cycles": "cycles --prime 999983",
     "cycles-all": "cycles --prime 12487 --generator all",
@@ -325,7 +355,8 @@ _LARGEST_ADMITTED = {
     "sidon-all": "sidon --prime 163841 --generator all",
     "sidon-all-largest-prime": "sidon --prime 330331 --generator all",
     "char-sums": "char-sums --prime 524287",
-    "char-sums-all": "char-sums --prime 12487 --generator all",
+    "char-sums-all": "char-sums --prime 65537 --generator all",
+    "char-sums-all-largest-prime": "char-sums --prime 158341 --generator all",
     "polya": "polya --n 1000000 --window 500000",
     "discrepancy": "discrepancy --prime 23167 --boxes 1000000",
     "render-cycles": "render-cycles --prime 999983",
@@ -347,7 +378,7 @@ _FIRST_REJECTED = {
     "sidon-first-prime-outside": "sidon --prime 1000003",
     "sidon-all-first-outside": "sidon --prime 131213 --generator all",
     "char-sums-first-prime-outside": "char-sums --prime 524309",
-    "char-sums-all-first-outside": "char-sums --prime 10289 --generator all",
+    "char-sums-all-first-outside": "char-sums --prime 65543 --generator all",
     "polya-first-n-outside": "polya --n 1000001 --window 1",
     "discrepancy-first-prime-outside": "discrepancy --prime 23173",
     "discrepancy-first-boxes-outside": "discrepancy --prime 101 --boxes 1000001",
@@ -401,7 +432,7 @@ _FIRST_REJECTED = {
         pytest.param(["kcycles", "--prime", "999983"], id="kcycles-family"),
         pytest.param(["sidon", "--prime", "999983", "--generator", "all"], id="sidon-all-family"),
         pytest.param(
-            ["char-sums", "--prime", "11633", "--generator", "all"], id="char-sums-all-family"
+            ["char-sums", "--prime", "524243", "--generator", "all"], id="char-sums-all-family"
         ),
     ]
     + [pytest.param(argv.split(), id=name) for name, argv in _FIRST_REJECTED.items()],
@@ -495,8 +526,8 @@ def test_sidon_certifies_at_the_table_limit(capsys):
 )
 def test_closed_form_kernels_run_at_the_table_limit(capsys, argv):
     """Neither kernel builds a dense array, so no dense cap applies.  The
-    5002 generators of 10007 share one transform, so they report the
-    smallest generator's float."""
+    5002 generators of 10007 share one certified check, so they all report
+    sqrt(10007)."""
     code, out = run(capsys, *argv)
     assert code == 0
     doc = json.loads(out)
@@ -504,7 +535,9 @@ def test_closed_form_kernels_run_at_the_table_limit(capsys, argv):
     if argv[-1] == "all":
         _, smallest = run(capsys, "char-sums", "--prime", "10007")
         [expected] = json.loads(smallest)["results"]
-        assert {r["max_sum"] for r in doc["results"]} == {expected["max_sum"]}
+        assert {r["max_sum"] for r in doc["results"]} == {expected["max_sum"]} == {
+            math.sqrt(10007)
+        }
 
 
 @pytest.mark.parametrize(

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from elgamalmap.discrepancy import count_boxes, sweep, theorem_bound
 from elgamalmap.numth import all_generators, smallest_generator
-from elgamalmap.sidon import SidonGraph, build_graphs
+from elgamalmap.sidon import SidonGraph, build_graph
 
 from box_oracle import count_in_box, naive_count
 
@@ -45,7 +45,7 @@ def _scalar_sweep(graph, num_random_boxes, seed):
 
 
 def test_count_in_box_examples():
-    graph = build_graphs(5, [2])[0]
+    graph = build_graph(5, 2)
     boxes = [
         (0, 5, 0, 4),  # full box
         (0, 2, -1, 4),  # first coordinates in {1, 2}: points (1,0) and (2,1)
@@ -58,7 +58,7 @@ def test_count_in_box_examples():
 def test_box_validation():
     """Window lengths outside 1 <= N <= p, 1 <= M <= p-1 are rejected,
     whichever box of the batch carries them."""
-    graph = build_graphs(5, [2])[0]
+    graph = build_graph(5, 2)
     for N, M in [(0, 1), (1, 0), (6, 4), (5, 5)]:
         with pytest.raises(ValueError, match=rf"box \(0, {N}, 0, {M}\) needs 1 <= N <= 5"):
             count_boxes(graph, [(0, 5, 0, 4), (0, N, 0, M), (1, 1, 1, 1)])
@@ -75,7 +75,7 @@ def test_theorem_bound_examples():
 
 @pytest.mark.parametrize("p", [5, 101, 1009])
 def test_count_matches_naive_oracle(p):
-    graph = build_graphs(p, [smallest_generator(p).g])[0]
+    graph = build_graph(p, smallest_generator(p).g)
     d = p - 1
     rng = np.random.default_rng(p)
     boxes = np.column_stack(
@@ -136,7 +136,7 @@ def test_count_boxes_every_box_small_primes(p):
     boxes = np.column_stack([h.ravel(), N.ravel(), k.ravel(), M.ravel()])
     table = np.random.default_rng(p).integers(0, p, d)
     table[0] = 0
-    graphs = [*build_graphs(p, all_generators(p)), SidonGraph(p=p, g=0, first=table)]
+    graphs = [build_graph(p, g) for g in all_generators(p)] + [SidonGraph(p=p, g=0, first=table)]
     for graph in graphs:
         hits = count_boxes(graph, boxes)
         assert hits.tolist() == naive_count(graph, *boxes.T[:, :, None]).tolist(), graph.g
@@ -155,7 +155,7 @@ def test_count_boxes_every_exponent_window_across_blocks(p):
     table[:3] = 0
     h, N = np.array([[0, p], [5, 1], [p - 3, 10], [40, p // 2]]).T[:, :, None]
     boxes = np.stack(np.broadcast_arrays(h, N, k.T, M.T), axis=-1).reshape(-1, 4)
-    for graph in build_graphs(p, [smallest_generator(p).g])[0], SidonGraph(p=p, g=0, first=table):
+    for graph in build_graph(p, smallest_generator(p).g), SidonGraph(p=p, g=0, first=table):
         hits = count_boxes(graph, boxes).reshape(len(h), -1)
         for part in np.array_split(np.arange(len(k)), 16):
             want = naive_count(graph, h[..., None], N[..., None], k[part], M[part])
@@ -168,7 +168,7 @@ def test_count_boxes_at_the_largest_admitted_prime():
     windows that wrap on both axes and seeded random boxes."""
     p = 23167
     d = p - 1
-    graph = build_graphs(p, [smallest_generator(p).g])[0]
+    graph = build_graph(p, smallest_generator(p).g)
     rng = np.random.default_rng(23167)
     boxes = [(0, p, 0, d), (p - 1, p, d - 1, d), (p - 1, 1, d - 1, 1)]
     boxes += [(int(h), 1, 0, d) for h in rng.integers(0, p, 50)]
@@ -184,7 +184,7 @@ def test_count_boxes_at_the_largest_admitted_prime():
 
 def test_window_split_additivity():
     """Splitting the first-coordinate window keeps hit counts additive."""
-    graph = build_graphs(101, [2])[0]
+    graph = build_graph(101, 2)
     rng = np.random.default_rng(3)
     wholes, lefts, rights = [], [], []
     for _ in range(200):
@@ -202,7 +202,7 @@ def test_window_split_additivity():
 
 @pytest.mark.parametrize("wrap_k", [0, -1, 50])
 def test_full_width_boxes_have_zero_deviation(wrap_k):
-    graph = build_graphs(101, [2])[0]
+    graph = build_graph(101, 2)
     lengths = [1, 7, 100]
     hits = count_boxes(graph, [(0, 101, wrap_k, m) for m in lengths])
     assert hits.tolist() == lengths
@@ -210,7 +210,7 @@ def test_full_width_boxes_have_zero_deviation(wrap_k):
 
 
 def test_sweep_p5_structured_only():
-    report = sweep(build_graphs(5, [2])[0], num_random_boxes=0, seed=0)
+    report = sweep(build_graph(5, 2), num_random_boxes=0, seed=0)
     # full box + 5 single-row + 4 single-column boxes
     assert report.boxes.shape == (10, 4) and report.boxes.dtype == np.int64
     assert report.boxes[0].tolist() == [0, 5, 0, 4]
@@ -221,7 +221,7 @@ def test_sweep_p5_structured_only():
 
 
 def test_sweep_is_deterministic():
-    graph = build_graphs(101, [2])[0]
+    graph = build_graph(101, 2)
     a = sweep(graph, num_random_boxes=50, seed=11)
     b = sweep(graph, num_random_boxes=50, seed=11)
     for name in _COLUMNS:
@@ -238,7 +238,7 @@ def test_sweep_matches_scalar_oracle(p, seed, num_random_boxes):
     """The column sweep equals the per-box loop exactly: the same draws
     in the same order, counts and float columns.  At p = 17 and 257 the
     bounds p-1 on k and M are powers of two."""
-    graph = build_graphs(p, [smallest_generator(p).g])[0]
+    graph = build_graph(p, smallest_generator(p).g)
     report = sweep(graph, num_random_boxes, seed)
     oracle = _scalar_sweep(graph, num_random_boxes, seed)
     for name, want in zip(_COLUMNS, oracle):
@@ -248,7 +248,7 @@ def test_sweep_matches_scalar_oracle(p, seed, num_random_boxes):
 
 
 def test_sweep_maxima_match_records():
-    report = sweep(build_graphs(101, [2])[0], num_random_boxes=25, seed=4)
+    report = sweep(build_graph(101, 2), num_random_boxes=25, seed=4)
     assert report.max_deviation == report.deviation.max()
     assert report.max_ratio == report.ratio.max()
     assert (report.ratio >= 0).all()
@@ -256,7 +256,7 @@ def test_sweep_maxima_match_records():
 
 def test_large_box_flag():
     p = 101
-    graph = build_graphs(p, [2])[0]
+    graph = build_graph(p, 2)
     report = sweep(graph, num_random_boxes=0, seed=0)
     threshold = p**1.5 * math.log(p) ** 2
     cardinality = report.boxes[:, 1] * report.boxes[:, 3]
@@ -267,7 +267,7 @@ def test_large_box_flag():
 
 def test_ratio_scaling():
     p = 101
-    report = sweep(build_graphs(p, [2])[0], num_random_boxes=10, seed=9)
+    report = sweep(build_graph(p, 2), num_random_boxes=10, seed=9)
     scale = math.sqrt(p) * math.log(p) ** 2
     for ratio, deviation in zip(report.ratio.tolist(), report.deviation.tolist()):
         assert ratio == pytest.approx(deviation / scale, rel=1e-12)

@@ -43,23 +43,30 @@ def test_render_gallery_smoke(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "argv, layer",
+    "argv, layers",
     [
-        pytest.param(["sign-demo", "--prime", "5"], "numth.GroupParams", id="sign-demo"),
+        pytest.param(["sign-demo", "--prime", "5"], {"numth.GroupParams"}, id="sign-demo"),
         pytest.param(
-            ["sidon", "--prime", "5", "--generator", "all"], "sidon.verify_sidon", id="sidon"
+            ["sidon", "--prime", "5", "--generator", "all"], {"sidon.verify_sidon"}, id="sidon"
+        ),
+        pytest.param(
+            ["char-sums", "--prime", "5", "--generator", "all"],
+            {"sidon.max_nontrivial_character_sum", "sidon.build_graph"},
+            id="char-sums",
         ),
     ],
 )
-def test_benchmark_traced_child_runs(tmp_path, argv, layer):
+def test_benchmark_traced_child_runs(tmp_path, argv, layers):
     """The benchmark's traced mode hooks package names (the dataclasses
-    GroupParams and Permutation among them) and reads `SidonGraph.size`
-    for the `sidon.verify_sidon` counter; a deleted one makes every traced
-    child fail, and a renamed function leaves its layer empty, which
-    neither the plain benchmark run nor the other tests see."""
+    GroupParams and Permutation among them) and reads the `SidonGraph`
+    first argument of `sidon.verify_sidon` and
+    `sidon.max_nontrivial_character_sum` for their counters; a deleted
+    one makes every traced child fail, and a renamed function leaves its
+    layer empty, which neither the plain benchmark run nor the other tests
+    see."""
     result_path = tmp_path / "result.json"
     result = _run_script(
         "perfbench/child.py", "spans", str(result_path), str(2 * 2**30), "--", *argv
     )
     assert result.returncode == 0, result.stderr
-    assert layer in json.loads(result_path.read_text())["layers"]
+    assert layers <= set(json.loads(result_path.read_text())["layers"])

@@ -9,11 +9,10 @@ from hypothesis import strategies as st
 from elgamalmap.cli import main
 from elgamalmap.numth import all_generators, is_prime, power_table, smallest_generator
 from elgamalmap.sidon import (
-    CharacterIndex,
     SidonGraph,
-    build_graphs,
+    build_graph,
     incomplete_exponential_sum_total,
-    max_nontrivial_character_sums,
+    max_nontrivial_character_sum,
     polya_vinogradov_bound,
     sidon_character_bound,
     verify_sidon,
@@ -27,16 +26,11 @@ from sidon_oracle import (
 )
 
 
-def _graph(p, g):
-    [graph] = build_graphs(p, [g])
-    return graph
-
-
 def test_build_graph_examples():
-    assert points(_graph(3, 2)) == [(1, 0), (2, 1)]
-    assert points(_graph(5, 2)) == [(1, 0), (2, 1), (4, 2), (3, 3)]
+    assert points(build_graph(3, 2)) == [(1, 0), (2, 1)]
+    assert points(build_graph(5, 2)) == [(1, 0), (2, 1), (4, 2), (3, 3)]
     # 3 = 2**3 mod 5: the table of 2 read at 3*x mod 4
-    assert [points(graph) for graph in build_graphs(5, [3, 2])] == [
+    assert [points(build_graph(5, g)) for g in [3, 2]] == [
         [(1, 0), (3, 1), (4, 2), (2, 3)],
         [(1, 0), (2, 1), (4, 2), (3, 3)],
     ]
@@ -48,11 +42,12 @@ def _direct_graph(p, g):
 
 
 def _direct_character_maximum(p, g):
-    """Oracle: one FFT of g's own power table, with the index chosen by
-    the tie rule of the family route."""
+    """Oracle: one FFT of g's own power table, the row s = 1 of the grid,
+    with the index (1, t) of the first t within a relative 1e-9 of the
+    row's maximum."""
     row = np.abs(np.fft.fft(np.exp(2j * np.pi * power_table(p, g) / p)))
     peak = float(row.max())
-    return peak, CharacterIndex(1, int(np.argmax(row >= peak * (1.0 - 1e-9))))
+    return peak, (1, int(np.argmax(row >= peak * (1.0 - 1e-9))))
 
 
 @pytest.mark.parametrize("p", [3, 5, 7, 13, 61, 101, 1009])
@@ -60,29 +55,27 @@ def test_family_route_matches_direct_route(p):
     """Reading the smallest generator's table at j*x mod p-1 gives every
     generator's own table, Sidon check and largest character sum.  Each
     graph has the `ok` and `diff_set_size` of g0's graph, the one
-    certificate `sidon` makes for all generators."""
+    certificate `sidon` makes for all generators, and the certified
+    maximum sqrt(p) of g0's graph, which a direct FFT of each g's own
+    table reaches first at (1, 1)."""
     generators = all_generators(p)
-    graphs = build_graphs(p, generators)
     assert generators[0] == smallest_generator(p).g
-    smallest = verify_sidon(graphs[0])
-    for g, graph in zip(generators, graphs):
-        direct = _direct_graph(p, g)
+    smallest = verify_sidon(build_graph(p, generators[0]))
+    for g in generators:
+        graph, direct = build_graph(p, g), _direct_graph(p, g)
         assert graph.g == g
         assert np.array_equal(graph.first, direct.first), g
         check = verify_sidon(direct)
         assert verify_sidon(graph) == check == smallest, g
-    family = max_nontrivial_character_sums(p, generators)
-    assert [g for g, _, _ in family] == generators
-    assert len({value for _, value, _ in family}) == 1
-    for g, value, chi in family:
+        assert max_nontrivial_character_sum(graph) == (math.sqrt(p), None), g
         direct_value, direct_chi = _direct_character_maximum(p, g)
-        assert value == pytest.approx(direct_value, rel=1e-12, abs=0), g
-        assert chi == direct_chi, g
+        assert direct_value == pytest.approx(math.sqrt(p), rel=1e-12, abs=0), g
+        assert direct_chi == (1, 1), g
 
 
 @pytest.mark.parametrize("p", [3, 5, 13, 101, 1009])
 def test_graph_has_p_minus_1_points(p):
-    graph = _graph(p, smallest_generator(p).g)
+    graph = build_graph(p, smallest_generator(p).g)
     assert graph.size == p - 1
     firsts = {u for u, _ in points(graph)}
     assert len(firsts) == p - 1 and 0 not in firsts
@@ -90,8 +83,8 @@ def test_graph_has_p_minus_1_points(p):
 
 
 def test_verify_sidon_small_graphs():
-    assert verify_sidon(_graph(5, 2)).ok
-    assert verify_sidon(_graph(3, 2)).ok
+    assert verify_sidon(build_graph(5, 2)).ok
+    assert verify_sidon(build_graph(3, 2)).ok
 
 
 def test_verify_sidon_failure_witness():
@@ -127,7 +120,7 @@ def test_graph_table_validation():
 
 @pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 17, 19, 23, 29, 31])
 def test_sidon_and_difference_size_against_oracle(p):
-    for graph in build_graphs(p, all_generators(p)):
+    for graph in [build_graph(p, g) for g in all_generators(p)]:
         counts = brute_force_difference_counts(points(graph), p)
         assert max(counts.values()) == 1
         check = verify_sidon(graph)
@@ -136,12 +129,12 @@ def test_sidon_and_difference_size_against_oracle(p):
 
 
 def test_difference_set_size_examples():
-    assert verify_sidon(_graph(5, 2)).diff_set_size == 13
-    assert verify_sidon(_graph(3, 2)).diff_set_size == 3
+    assert verify_sidon(build_graph(5, 2)).diff_set_size == 13
+    assert verify_sidon(build_graph(3, 2)).diff_set_size == 3
 
 
 def test_difference_set_size_at_1009():
-    graph = _graph(1009, 11)
+    graph = build_graph(1009, 11)
     assert verify_sidon(graph).diff_set_size == 1008**2 - 1008 + 1 == 1015057
 
 
@@ -209,7 +202,7 @@ def test_every_swap_of_a_power_table_is_rejected():
         if not is_prime(p):
             continue
         g = smallest_generator(p).g
-        table = _graph(p, g).first
+        table = build_graph(p, g).first
         for i in range(p - 1):
             for j in range(i + 1, p - 1):
                 swapped = table.copy()
@@ -233,8 +226,7 @@ def _dense_character_maximum(p, first, second):
     magnitudes = np.abs(np.fft.fft2(indicator))
     magnitudes[0, 0] = -1.0  # exclude the trivial character
     peak = float(magnitudes.max())
-    s, t = divmod(int(np.argmax(magnitudes >= peak * (1.0 - 1e-9))), d)
-    return peak, CharacterIndex(s, t)
+    return peak, divmod(int(np.argmax(magnitudes >= peak * (1.0 - 1e-9))), d)
 
 
 def _roots_table(n, N, h):
@@ -261,107 +253,153 @@ def _roots_of_unity(n):
 
 
 def _character_sum(graph, chi):
-    """Direct evaluator: |sum over points of exp(2*pi*i*(s*x/p + t*y/(p-1)))|.
+    """Direct evaluator: |sum over points of exp(2*pi*i*(s*x/p + t*y/(p-1)))|
+    for chi = (s, t).
 
     Phases are reduced to exact integer indices into root-of-unity
     tables before exponentiation, so no precision is lost to large
     arguments.
     """
     p, d = graph.p, graph.d
-    if not (0 <= chi.s < p and 0 <= chi.t < d):
-        raise ValueError(f"character index ({chi.s}, {chi.t}) outside [0,{p}) x [0,{d})")
+    s, t = chi
+    if not (0 <= s < p and 0 <= t < d):
+        raise ValueError(f"character index ({s}, {t}) outside [0,{p}) x [0,{d})")
     wp = _roots_of_unity(p)
     wd = _roots_of_unity(d)
-    terms = wp[(chi.s * graph.first) % p] * wd[(chi.t * np.arange(d)) % d]
+    terms = wp[(s * graph.first) % p] * wd[(t * np.arange(d)) % d]
     return float(abs(terms.sum()))
 
 
 def test_character_sum_trivial_is_size():
-    graph = _graph(5, 2)
-    assert _character_sum(graph, CharacterIndex(0, 0)) == pytest.approx(4.0, abs=1e-12)
+    graph = build_graph(5, 2)
+    assert _character_sum(graph, (0, 0)) == pytest.approx(4.0, abs=1e-12)
 
 
 def test_character_sum_p3_example():
-    graph = _graph(3, 2)
+    graph = build_graph(3, 2)
     # the two nonzero cube roots of unity sum to -1
-    assert _character_sum(graph, CharacterIndex(1, 0)) == pytest.approx(1.0, abs=1e-12)
+    assert _character_sum(graph, (1, 0)) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_character_sum_rejects_out_of_range_index():
-    graph = _graph(5, 2)
+    graph = build_graph(5, 2)
     with pytest.raises(ValueError):
-        _character_sum(graph, CharacterIndex(5, 0))
+        _character_sum(graph, (5, 0))
     with pytest.raises(ValueError):
-        _character_sum(graph, CharacterIndex(0, 4))
+        _character_sum(graph, (0, 4))
 
 
 def test_max_character_sum_p5_under_bound():
-    graph = _graph(5, 2)
+    graph = build_graph(5, 2)
     direct_max = max(
-        _character_sum(graph, CharacterIndex(s, t))
+        _character_sum(graph, (s, t))
         for s in range(5)
         for t in range(4)
         if (s, t) != (0, 0)
     )
-    [(_, value, chi)] = max_nontrivial_character_sums(5, [2])
-    assert (chi.s, chi.t) != (0, 0)
+    value, off_at = max_nontrivial_character_sum(graph)
+    assert (value, off_at) == (math.sqrt(5), None)
     assert value == pytest.approx(direct_max, abs=1e-9)
     assert value < math.sqrt(12)
 
 
 @pytest.mark.parametrize("p", [3, 5, 13, 61])
 def test_max_scan_agrees_with_direct_evaluator(p):
-    """The transform row and the per-character evaluator are separate
+    """The certified row and the per-character evaluator are separate
     routes; they must agree everywhere."""
-    g = smallest_generator(p).g
-    graph = _graph(p, g)
-    [(_, value, chi)] = max_nontrivial_character_sums(p, [g])
-    assert _character_sum(graph, chi) == pytest.approx(value, abs=1e-9)
+    graph = build_graph(p, smallest_generator(p).g)
+    value, _ = max_nontrivial_character_sum(graph)
+    assert _character_sum(graph, (1, 1)) == pytest.approx(value, abs=1e-9)
     rng = np.random.default_rng(5)
     for _ in range(25):
         s = int(rng.integers(0, p))
         t = int(rng.integers(0, p - 1))
         if (s, t) == (0, 0):
             continue
-        assert _character_sum(graph, CharacterIndex(s, t)) <= value + 1e-9
+        assert _character_sum(graph, (s, t)) <= value + 1e-9
 
 
 @pytest.mark.parametrize("p", [3, 5, 61])
 def test_character_bound_small_primes(p):
-    for _, value, _ in max_nontrivial_character_sums(p, all_generators(p)):
+    for g in all_generators(p):
+        value, off_at = max_nontrivial_character_sum(build_graph(p, g))
+        assert off_at is None, g
         assert value < sidon_character_bound(p)
 
 
 @pytest.mark.parametrize("p", [3, 5, 61, 101])
-def test_argmax_is_first_index_of_the_tie(p):
+def test_argmax_is_first_index_of_the_tie(p, capsys):
     """Every (s, t) with s, t != 0 ties at sqrt(p); the first in
-    row-major order wins, whatever the rounding noise."""
-    for _, _, chi in max_nontrivial_character_sums(p, all_generators(p)):
-        assert chi == CharacterIndex(1, 1)
+    row-major order is (1, 1), which `char-sums` reports for every
+    generator."""
+    assert main(["char-sums", "--prime", str(p), "--generator", "all"]) == 0
+    rows = json.loads(capsys.readouterr().out)["results"]
+    assert len(rows) == len(all_generators(p))
+    assert {(row["argmax_s"], row["argmax_t"]) for row in rows} == {(1, 1)}
+    for g in all_generators(p):
+        _, chi = _dense_character_maximum(p, build_graph(p, g).first, range(p - 1))
+        assert chi == (1, 1), g
     # the oracle's rule: with one point every character has magnitude 1,
     # so (0, 1) comes first
     _, chi = _dense_character_maximum(p, [1], [0])
-    assert chi == CharacterIndex(0, 1)
+    assert chi == (0, 1)
 
 
 @pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 61, 101])
 def test_max_matches_dense_grid(p):
-    """The one-row transform agrees with the full p x (p-1) grid on every
-    generator: the same maximum and the same index under the tie rule."""
-    generators = all_generators(p)
-    for graph, (g, value, chi) in zip(
-        build_graphs(p, generators), max_nontrivial_character_sums(p, generators)
-    ):
+    """The certified maximum agrees with the full p x (p-1) grid on every
+    generator: the grid's maximum is sqrt(p), first reached at (1, 1)."""
+    for g in all_generators(p):
+        graph = build_graph(p, g)
+        value, off_at = max_nontrivial_character_sum(graph)
         dense_value, dense_chi = _dense_character_maximum(p, graph.first, range(p - 1))
+        assert (value, off_at) == (math.sqrt(p), None), g
         assert value == pytest.approx(dense_value, rel=1e-12, abs=0), g
-        assert chi == dense_chi, g
+        assert dense_chi == (1, 1), g
+
+
+def test_character_check_accepts_every_generator_below_400():
+    graphs = 0
+    for p in range(3, 400, 2):
+        if is_prime(p):
+            for g in all_generators(p):
+                assert max_nontrivial_character_sum(build_graph(p, g)) == (math.sqrt(p), None)
+                graphs += 1
+    assert graphs > 5000  # sanity: every generator of every prime was checked
+
+
+def test_every_swap_of_a_power_table_fails_the_character_check():
+    """Exchanging two entries of g0's table moves its row of sums off the
+    exact profile (1 at t = 0, sqrt(p) elsewhere) for 7 <= p <= 61; the
+    result is then the measured row maximum and the first t that is off.
+    At p = 3 and 5 a swap can give another generator's table, whose sums
+    have the same magnitudes, so those primes are not claimed."""
+    swaps = 0
+    for p in range(7, 62):
+        if not is_prime(p):
+            continue
+        g = smallest_generator(p).g
+        table = build_graph(p, g).first
+        for i in range(p - 1):
+            for j in range(i + 1, p - 1):
+                swapped = table.copy()
+                swapped[[i, j]] = swapped[[j, i]]
+                value, off_at = max_nontrivial_character_sum(SidonGraph(p=p, g=g, first=swapped))
+                row = np.abs(np.fft.fft(np.exp(2j * np.pi * swapped / p)))
+                exact = np.where(np.arange(p - 1) == 0, 1.0, math.sqrt(p))
+                off = np.abs(row - exact) > 1e-9 * math.sqrt(p)
+                assert off.any(), (p, i, j)
+                assert off_at == int(np.argmax(off)), (p, i, j)
+                assert value == pytest.approx(float(row.max()), rel=1e-12), (p, i, j)
+                swaps += 1
+    assert swaps == sum(math.comb(p - 1, 2) for p in range(7, 62) if is_prime(p))
 
 
 @pytest.mark.parametrize("p", [5, 13])
 def test_parseval_via_direct_evaluator(p):
-    graph = _graph(p, smallest_generator(p).g)
+    graph = build_graph(p, smallest_generator(p).g)
     total = sum(
-        _character_sum(graph, CharacterIndex(s, t)) ** 2
+        _character_sum(graph, (s, t)) ** 2
         for s in range(p)
         for t in range(p - 1)
     )
