@@ -17,7 +17,6 @@ from .numth import (
     GroupParams,
     all_generators,
     generator_count,
-    generator_logs,
     is_prime,
     smallest_generator,
 )

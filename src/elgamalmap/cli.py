@@ -30,7 +30,6 @@ from .numth import (
     MAX_TABLE_MODULUS,
     all_generators,
     generator_count,
-    generator_logs,
     is_prime,
     smallest_generator,
 )
@@ -72,10 +71,12 @@ def _require_odd_prime(n: int) -> None:
         )
 
 
-def _resolve_generators(p: int, selection: str) -> list[int]:
+def _resolve_generators(p: int, selection: str, single: bool = False) -> list[int]:
     if selection == "smallest":
         return [smallest_generator(p).g]
     if selection == "all":
+        if single:
+            raise InputError("this subcommand needs a single generator, not 'all'")
         return all_generators(p)
     try:
         g = int(selection)
@@ -84,16 +85,10 @@ def _resolve_generators(p: int, selection: str) -> list[int]:
             f"--generator must be an integer, 'smallest', or 'all', got {selection!r}"
         ) from None
     try:
-        generator_logs(p, [g])
+        smallest_generator(p).exponents([g])
     except ValueError as exc:
         raise InputError(str(exc)) from None
     return [g]
-
-
-def _resolve_single_generator(p: int, selection: str) -> int:
-    if selection == "all":
-        raise InputError("this subcommand needs a single generator, not 'all'")
-    return _resolve_generators(p, selection)[0]
 
 
 def _fmt(value) -> str:
@@ -196,17 +191,9 @@ def _cmd_sidon(args) -> bool:
     # (u, y) -> (u, y/j) of Z_p x Z_{p-1}, which keeps every difference
     # collision and |S - S|, so one certificate of g0's graph decides them all
     check = verify_sidon(build_graph(p, smallest_generator(p).g))
-    expected = (p - 1) ** 2 - (p - 1) + 1
-    results = [
-        {
-            "generator": g,
-            "ok": check.ok,
-            "diff_set_size": check.diff_set_size,
-            "expected_diff_set_size": expected,
-        }
-        for g in generators
-    ]
-    doc = {"p": p, "results": results, "pass": check.ok}
+    row = {"ok": check.ok, "diff_set_size": check.diff_set_size,
+           "expected_diff_set_size": (p - 1) ** 2 - (p - 1) + 1}
+    doc = {"p": p, "results": [{"generator": g, **row} for g in generators], "pass": check.ok}
     if not check.ok:
         doc["broken_at"] = check.broken_at  # the first failing exponent of g0's table
     _emit(_json(doc), args.out)
@@ -237,25 +224,16 @@ def _cmd_polya(args) -> bool:
         raise InputError(str(exc)) from None
     bound = polya_vinogradov_bound(args.n)
     ok = total < bound
-    _emit(
-        _json(
-            {
-                "n": args.n,
-                "window": args.window,
-                "shift": args.shift,
-                "total": total,
-                "bound": bound,
-                "pass": ok,
-            }
-        ),
-        args.out,
-    )
+    doc = {"n": args.n, "window": args.window, "shift": args.shift, "total": total,
+           "bound": bound, "pass": ok}
+    _emit(_json(doc), args.out)
     return ok
 
 
 def _cmd_discrepancy(args) -> bool:
     p = args.prime
-    graph = build_graph(p, _resolve_single_generator(p, args.generator))
+    [g] = _resolve_generators(p, args.generator, single=True)
+    graph = build_graph(p, g)
     report = sweep(graph, args.boxes, args.seed)
     bound = theorem_bound(p)
     ok = report.max_deviation <= bound
@@ -264,27 +242,16 @@ def _cmd_discrepancy(args) -> bool:
                    report.ratio, report.large_box.astype(np.int64))
         header = ["h", "N", "k", "M", "hits", "expected", "deviation", "ratio", "large_box"]
         _emit(_csv_blocks(header, columns), args.out)
-    _emit(
-        _json(
-            {
-                "p": p,
-                "generator": graph.g,
-                "seed": args.seed,
-                "num_boxes": len(report.boxes),
-                "max_deviation": report.max_deviation,
-                "bound": bound,
-                "max_ratio": report.max_ratio,
-                "pass": ok,
-            }
-        ),
-        None,
-    )
+    doc = {"p": p, "generator": g, "seed": args.seed, "num_boxes": len(report.boxes),
+           "max_deviation": report.max_deviation, "bound": bound, "max_ratio": report.max_ratio,
+           "pass": ok}
+    _emit(_json(doc), None)
     return ok
 
 
 def _cmd_render_cycles(args) -> bool:
     p = args.prime
-    [(_, lengths)] = family_cycle_lengths(p, [_resolve_single_generator(p, args.generator)])
+    [(_, lengths)] = family_cycle_lengths(p, _resolve_generators(p, args.generator, single=True))
     _emit(cycle_diagram_svg(lengths.tolist()), args.out)
     return True
 

@@ -15,7 +15,7 @@ from math import gcd
 
 import numpy as np
 
-from .numth import GroupParams, power_table
+from .numth import GroupParams
 
 __all__ = ["Permutation", "Signature", "elgamal_permutation", "sign", "verify"]
 
@@ -41,7 +41,7 @@ class Permutation:
 def elgamal_permutation(params: GroupParams) -> Permutation:
     """The permutation x -> g**x mod p of {1, ..., p-1}."""
     p, d = params.p, params.d
-    image = power_table(p, params.g)[np.arange(1, p) % d]
+    image = params.table[np.arange(1, p) % d]
     return Permutation(d, tuple(image.tolist()))
 
 

@@ -2,17 +2,17 @@
 
 Primality, the prime divisors of a group order, primitive-root discovery
 for prime moduli, and the power table e -> g**e mod p that every
-experiment reads.  Everything here is a pure function of its arguments;
-only the power table is a numpy array, the rest operates on plain Python
-integers and the builtin pow.  The experiments run at desk scale (moduli
-up to MAX_TABLE_MODULUS = 10**6), so trial division and a deterministic
-Miller-Rabin base set are entirely adequate.
+experiment reads, kept once per prime as `smallest_generator(p).table`;
+`GroupParams.exponents` is the one map from a generator to its exponent.
+The experiments run at desk scale (moduli up to MAX_TABLE_MODULUS =
+10**6), so trial division and a deterministic Miller-Rabin base set are
+entirely adequate.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cache
+from functools import cache, cached_property, lru_cache
 from math import gcd
 
 import numpy as np
@@ -25,7 +25,6 @@ __all__ = [
     "generator_count",
     "MAX_TABLE_MODULUS",
     "power_table",
-    "generator_logs",
 ]
 
 # Witnesses making Miller-Rabin deterministic for all n < 3.3 * 10**24,
@@ -92,7 +91,9 @@ class GroupParams:
 
     `d` is the group order p - 1.  Construction validates that p is an
     odd prime and that g is a primitive root, i.e. g**((p-1)/q) != 1
-    mod p for every prime q dividing p - 1.
+    mod p for every prime q dividing p - 1.  `table` (g's power table)
+    and `log` (its inverse, log[table[e]] = e; log[0] is unused) are
+    read-only and computed on first use, once per instance.
     """
 
     p: int
@@ -100,28 +101,65 @@ class GroupParams:
     d: int = field(init=False)
 
     def __post_init__(self) -> None:
-        if self.p < 3 or not is_prime(self.p):
-            raise ValueError(f"p must be an odd prime, got {self.p}")
-        if not 2 <= self.g <= self.p - 1:
-            raise ValueError(f"g must lie in [2, p-1], got {self.g}")
-        if not _is_primitive_root(self.g, self.p):
-            raise ValueError(f"{self.g} does not generate the group mod {self.p}")
-        object.__setattr__(self, "d", self.p - 1)
+        p, g = self.p, self.g
+        # a primitive root proves p prime (Lucas's test), so a valid pair
+        # needs no is_prime; it only words the error of an invalid one
+        if not (p >= 3 and 2 <= g <= p - 1 and _is_primitive_root(g, p)):
+            if p < 3 or not is_prime(p):
+                raise ValueError(f"p must be an odd prime, got {p}")
+            if not 2 <= g <= p - 1:
+                raise ValueError(f"g must lie in [2, p-1], got {g}")
+            raise ValueError(f"{g} does not generate the group mod {p}")
+        object.__setattr__(self, "d", p - 1)
+
+    @cached_property
+    def table(self) -> np.ndarray:
+        table = power_table(self.p, self.g)
+        table.flags.writeable = False
+        return table
+
+    @cached_property
+    def log(self) -> np.ndarray:
+        log = np.zeros(self.p, dtype=np.int64)
+        log[self.table] = np.arange(self.d)
+        log.flags.writeable = False
+        return log
+
+    def exponents(self, generators: list[int]) -> np.ndarray:
+        """The exponents j = log[g] (g = self.g**j mod p; 1 for self.g, which
+        needs no log) of `generators`, after checking that each lies in
+        [2, p-1] and generates the group, i.e. that j is a unit mod p-1.
+        Each one's power table is then `table` read at j*x mod (p-1)."""
+        js = []
+        for g in generators:
+            if not 2 <= g <= self.p - 1:
+                raise ValueError(f"g must lie in [2, p-1], got {g}")
+            j = 1 if g == self.g else int(self.log[g])
+            if gcd(j, self.d) != 1:
+                raise ValueError(f"{g} does not generate the group mod {self.p}")
+            js.append(j)
+        return np.array(js, dtype=np.int64)
 
 
-def _is_primitive_root(g: int, p: int) -> bool:
-    d = p - 1
-    return all(pow(g, d // q, p) != 1 for q in _prime_divisors(d))
+def _is_primitive_root(g: int, n: int) -> bool:
+    """Whether 2 <= g < n generates Z_n^*, n prime.  By Lucas's test no
+    g passes for a composite n."""
+    d = n - 1
+    return pow(g, d, n) == 1 and all(pow(g, d // q, n) != 1 for q in _prime_divisors(d))
 
 
 def smallest_generator(p: int) -> GroupParams:
-    """The least g >= 2 that is a primitive root mod p.
-
-    Args:
-        p: odd prime.
-    """
+    """The GroupParams of the least primitive root g0 mod the odd prime p,
+    shared by every call on the same p until another prime is asked for."""
     if p < 3 or not is_prime(p):
         raise ValueError(f"p must be an odd prime, got {p}")
+    return _smallest_generator(p)
+
+
+@lru_cache(maxsize=1)
+def _smallest_generator(p: int) -> GroupParams:
+    """smallest_generator of a p known to be an odd prime.  One entry, since
+    each holds 16 bytes a residue once its table and log are read."""
     g = 2
     while not _is_primitive_root(g, p):
         g += 1
@@ -134,9 +172,8 @@ def all_generators(p: int) -> list[int]:
     Once one primitive root g0 is known, the full set is
     {g0**j mod p : gcd(j, p-1) = 1}.
     """
-    d = p - 1
-    table = power_table(p, smallest_generator(p).g)
-    return sorted(table[np.gcd(np.arange(d), d) == 1].tolist())
+    g0 = smallest_generator(p)
+    return sorted(g0.table[np.gcd(np.arange(g0.d), g0.d) == 1].tolist())
 
 
 def generator_count(p: int) -> int:
@@ -178,18 +215,3 @@ def power_table(p: int, g: int) -> np.ndarray:
         step = step * step % p
     return table
 
-
-def generator_logs(p: int, generators: list[int]) -> tuple[np.ndarray, np.ndarray]:
-    """The power table of the smallest generator g0 mod p and its inverse
-    log (log[table[e]] = e; log[0] is unused), after the checks of
-    GroupParams on every entry of `generators`.  Every generator g = g0**j,
-    j = log[g], has g0's table read at j*x mod (p-1) as its power table."""
-    table = power_table(p, smallest_generator(p).g)
-    log = np.zeros(p, dtype=np.int64)
-    log[table] = np.arange(p - 1)
-    for g in generators:
-        if not 2 <= g <= p - 1:
-            raise ValueError(f"g must lie in [2, p-1], got {g}")
-        if gcd(int(log[g]), p - 1) != 1:
-            raise ValueError(f"{g} does not generate the group mod {p}")
-    return table, log

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .elgamal import Permutation
-from .numth import generator_logs
+from .numth import _smallest_generator, smallest_generator
 
 __all__ = [
     "FamilyStatistics",
@@ -147,10 +147,10 @@ def family_cycle_lengths(p: int, generators: list[int]) -> list[tuple[int, np.nd
     """Cycle lengths of x -> g**x on {1..p-1} for every g in `generators`.
 
     Every generator is g = g0**j for the smallest generator g0 and a unit
-    j mod p-1, so its image table is g0's power table read at
-    j*x mod (p-1) (see `numth.generator_logs`).  The tables of many
-    generators are decomposed together, in blocks of at most
-    _BLOCK_CELLS cells.
+    j mod p-1, so its image table is g0's one power table,
+    `numth.smallest_generator(p).table`, read at j*x mod (p-1), with j from
+    `GroupParams.exponents`.  The tables of many generators are decomposed
+    together, in blocks of at most _BLOCK_CELLS cells.
 
     Returns:
         (g, lengths) per generator, in the order given; lengths holds one
@@ -160,9 +160,8 @@ def family_cycle_lengths(p: int, generators: list[int]) -> list[tuple[int, np.nd
         ValueError: if p is not an odd prime or an entry of `generators`
             is not a generator mod p.
     """
-    table, log = generator_logs(p, generators)
-    d = p - 1
-    js = log[np.array(generators, dtype=np.int64)]
+    g0 = smallest_generator(p)
+    table, d, js = g0.table, g0.d, g0.exponents(generators)
     xmod = np.arange(1, p, dtype=np.int64) % d  # exponent of x = p-1 wraps to 0
     lengths: list[np.ndarray] = []
     for start, stop in _row_blocks(len(js), d):
@@ -239,7 +238,7 @@ def fixed_point_sweep(max_prime: int) -> list[tuple[int, float]]:
             rows.append((2, 1.0))
             continue
         d = p - 1
-        _, log = generator_logs(p, [])
+        log = _smallest_generator(p).log  # the sieve has proved p prime
         xs = np.arange(1, p, dtype=np.int64)
         h = np.gcd(xs % d, d)
         solvable = np.gcd(log[xs], d) == h

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from elgamalmap import cli
+from elgamalmap import cli, numth
 from elgamalmap.cli import main
 from elgamalmap.discrepancy import sweep
 from elgamalmap.numth import is_prime, smallest_generator
@@ -311,6 +311,48 @@ def test_sign_demo_tamper(capsys):
     code, out = run(capsys, "sign-demo", "--prime", "1009", "--seed", "0", "--tamper")
     assert code == 2
     assert json.loads(out)["verified"] is False
+
+
+_TABLE_READERS = [
+    *(f"{name} --prime 61 --generator {g}" for name in ("cycles", "sidon", "char-sums")
+      for g in ("smallest", "6", "all")),
+    "cycle-dist --prime 61",
+    "kcycles --prime 61",
+    *(f"discrepancy --prime 61 --generator {g} --boxes 5" for g in ("smallest", "6")),
+    *(f"render-cycles --prime 61 --generator {g} --out {{out}}" for g in ("smallest", "6")),
+    "fixed-points --max-prime 61",
+]
+
+
+@pytest.mark.parametrize("argv", _TABLE_READERS)
+def test_one_power_table_per_prime(argv, monkeypatch, capsys, tmp_path):
+    """Every table-reading run derives the smallest generator g0 and its
+    power table once per prime, whatever its generators: a single
+    generator, g0 or all of them read g0's one table.  The fixed-point
+    sweep reads one table per prime of its sieve and does not test those
+    primes again."""
+    primes = [61] if "--prime" in argv else [p for p in range(3, 62) if is_prime(p)]
+    expected = [(p, smallest_generator(p).g) for p in primes]
+    numth._smallest_generator.cache_clear()  # start from a fresh process's state
+    tables, primality_tests = [], []
+    power_table, primality = numth.power_table, numth.is_prime
+
+    def counted_power_table(p, g):
+        tables.append((p, g))
+        return power_table(p, g)
+
+    def counted_is_prime(n):
+        primality_tests.append(n)
+        return primality(n)
+
+    monkeypatch.setattr(numth, "power_table", counted_power_table)
+    monkeypatch.setattr(numth, "is_prime", counted_is_prime)
+    code = main(argv.format(out=tmp_path / "out.svg").split())
+    capsys.readouterr()
+    assert code == 0
+    assert tables == expected
+    if argv.startswith("fixed-points"):
+        assert primality_tests == []
 
 
 def test_composite_prime_is_input_error(capsys):

@@ -1,3 +1,4 @@
+import importlib
 import json
 import os
 import subprocess
@@ -70,3 +71,36 @@ def test_benchmark_traced_child_runs(tmp_path, argv, layers):
     )
     assert result.returncode == 0, result.stderr
     assert layers <= set(json.loads(result_path.read_text())["layers"])
+
+
+# Layers of BENCHMARK.json whose functions are gone from the package; their
+# metrics read 0 until the benchmark's hooks are retargeted (ROADMAP item 1).
+DEAD_LAYERS = {
+    "discrepancy.count_in_box",
+    "numth.factorize",
+    "permstat.cycle_decompose",
+    "sidon.difference_set_size",
+}
+
+
+def test_benchmark_layers_resolve_to_hooked_names():
+    """Each per-layer metric of BENCHMARK.json names module.function (the
+    tracer's own `trace.*` aside), and the traced child hooks only the
+    functions a module defines and lists in its __all__, plus the
+    dataclasses GroupParams and Permutation through __post_init__; a
+    renamed layer would read 0 without failing any run."""
+    metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]
+    layers = {m["name"].rpartition(".")[0] for m in metrics} - {"trace"}
+    dead = set()
+    for layer in sorted(layers):
+        module_name, _, name = layer.partition(".")
+        module = importlib.import_module(f"elgamalmap.{module_name}")
+        if name not in module.__all__:
+            dead.add(layer)
+            continue
+        obj = getattr(module, name)
+        assert obj.__module__ == module.__name__, layer
+        if isinstance(obj, type):
+            assert layer in {"numth.GroupParams", "elgamal.Permutation"}, layer
+            assert "__post_init__" in vars(obj), layer
+    assert dead == DEAD_LAYERS
