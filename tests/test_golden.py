@@ -30,10 +30,17 @@ def _cases() -> dict[str, list[str]]:
             "cycles": ["cycles", "--prime", P],
             "cycles_all": ["cycles", "--prime", P, "--generator", "all"],
             "cycles_json": ["cycles", "--prime", P, "--format", "json"],
+            "cycles_all_json": ["cycles", "--prime", P, "--generator", "all", "--format", "json"],
             "cycle-dist": ["cycle-dist", "--prime", P],
+            "cycle-dist_json": ["cycle-dist", "--prime", P, "--format", "json"],
             "random-baseline": ["random-baseline", "--degree", str(p - 1), "--samples", "20"],
+            "random-baseline_json": [
+                "random-baseline", "--degree", str(p - 1), "--samples", "20", "--format", "json",
+            ],
             "kcycles": ["kcycles", "--prime", P],
+            "kcycles_json": ["kcycles", "--prime", P, "--format", "json"],
             "fixed-points": ["fixed-points", "--max-prime", P],
+            "fixed-points_json": ["fixed-points", "--max-prime", P, "--format", "json"],
             "sidon": ["sidon", "--prime", P],
             "sidon_all": ["sidon", "--prime", P, "--generator", "all"],
             "char-sums": ["char-sums", "--prime", P],
