@@ -17,8 +17,7 @@ import json
 import os
 import stat
 import sys
-from collections import Counter
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable, Iterator, Sequence
 from itertools import chain
 from math import gcd
 
@@ -91,22 +90,13 @@ def _resolve_generators(p: int, selection: str, single: bool = False) -> list[in
     return [g]
 
 
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return f"{value:.6f}"
-    return str(value)
-
-
-def _table(columns: list[str], rows: list[tuple], out_format: str) -> str:
+def _table(columns: list[str], arrays: tuple[np.ndarray, ...], out_format: str) -> Iterator[str]:
+    """The table of 1-D int64/float64 column `arrays`: one JSON document
+    {"columns", "rows"}, or CSV with reals to 6 places, one `%` per row block."""
     if out_format == "json":
-        return _json({"columns": columns, "rows": [list(r) for r in rows]})
-    lines = [",".join(columns)]
-    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
-    return "\n".join(lines) + "\n"
-
-
-def _csv_blocks(columns: list[str], arrays: tuple[np.ndarray, ...]) -> Iterator[str]:
-    """`_table`'s CSV of the rows of 1-D int64/float64 `arrays`, one `%` per block of rows."""
+        rows = [list(row) for row in zip(*(a.tolist() for a in arrays))]
+        yield _json({"columns": columns, "rows": rows})
+        return
     yield ",".join(columns) + "\n"
     row_fmt = ",".join("%.6f" if a.dtype.kind == "f" else "%d" for a in arrays) + "\n"
     for start, stop in _row_blocks(len(arrays[0]), len(arrays)):
@@ -133,54 +123,52 @@ def _emit(text: str | Iterable[str], out_path: str | None) -> None:
 
 def _cmd_cycles(args) -> bool:
     p = args.prime
-    rows = []
+    generator, length = [], []
     for g, lengths in family_cycle_lengths(p, _resolve_generators(p, args.generator)):
-        multiplicity = Counter(lengths.tolist())
-        rows.extend(
-            (g, length, multiplicity[length]) for length in sorted(multiplicity, reverse=True)
-        )
-    _emit(_table(["generator", "cycle_length", "multiplicity"], rows, args.format), args.out)
+        generator += [g] * len(lengths)
+        length += sorted(lengths.tolist(), reverse=True)  # longest cycle first
+    generator, length = np.array(generator), np.array(length)
+    # one row per run of equal (generator, cycle_length) pairs
+    first = np.flatnonzero(np.diff(generator, prepend=0) | np.diff(length, prepend=0))
+    arrays = (generator[first], length[first], np.diff(first, append=len(length)))
+    _emit(_table(["generator", "cycle_length", "multiplicity"], arrays, args.format), args.out)
     return True
 
 
-def _cycle_count_table(n: int, counts: list[int]) -> list[tuple]:
-    """Rows c, theory percent, empirical percent for c = 1..min(20, n)."""
-    theory = stirling_cycle_distribution(n)
-    hist = Counter(counts)
-    total = len(counts)
-    return [
-        (c, 100.0 * float(theory[c]), 100.0 * hist.get(c, 0) / total)
-        for c in range(1, min(DIST_MAX_CYCLES, n) + 1)
-    ]
+def _cycle_count_table(n: int, counts: Sequence[int]) -> tuple[np.ndarray, ...]:
+    """Columns c, theory percent, empirical percent for c = 1..min(20, n)."""
+    c = np.arange(1, min(DIST_MAX_CYCLES, n) + 1)
+    hist = np.bincount(counts, minlength=c[-1] + 1)
+    return c, 100.0 * stirling_cycle_distribution(n)[c], 100.0 * hist[c] / len(counts)
 
 
 def _cmd_cycle_dist(args) -> bool:
     p = args.prime
     stats = family_statistics(p, all_generators(p), k_max=1)
-    rows = _cycle_count_table(p - 1, list(stats.cycle_counts))
-    _emit(_table(["c", "theory_percent", "elgamal_percent"], rows, args.format), args.out)
+    arrays = _cycle_count_table(p - 1, stats.cycle_counts)
+    _emit(_table(["c", "theory_percent", "elgamal_percent"], arrays, args.format), args.out)
     return True
 
 
 def _cmd_random_baseline(args) -> bool:
     counts = random_cycle_counts(args.degree, args.samples, args.seed)
-    rows = _cycle_count_table(args.degree, counts)
-    _emit(_table(["c", "theory_percent", "random_percent"], rows, args.format), args.out)
+    arrays = _cycle_count_table(args.degree, counts)
+    _emit(_table(["c", "theory_percent", "random_percent"], arrays, args.format), args.out)
     return True
 
 
 def _cmd_kcycles(args) -> bool:
     stats = family_statistics(args.prime, all_generators(args.prime), k_max=args.k_max)
-    rows = [
-        (k, expected_k_cycles(k), stats.avg_k_cycles[k - 1]) for k in range(1, args.k_max + 1)
-    ]
-    _emit(_table(["k", "theory", "empirical_average"], rows, args.format), args.out)
+    ks = range(1, args.k_max + 1)
+    theory = [expected_k_cycles(k) for k in ks]
+    arrays = (np.array(ks), np.array(theory), np.array(stats.avg_k_cycles))
+    _emit(_table(["k", "theory", "empirical_average"], arrays, args.format), args.out)
     return True
 
 
 def _cmd_fixed_points(args) -> bool:
-    rows = fixed_point_sweep(args.max_prime)
-    _emit(_table(["p", "avg_fixed_points"], rows, args.format), args.out)
+    arrays = tuple(map(np.array, zip(*fixed_point_sweep(args.max_prime))))
+    _emit(_table(["p", "avg_fixed_points"], arrays, args.format), args.out)
     return True
 
 
@@ -241,7 +229,7 @@ def _cmd_discrepancy(args) -> bool:
         columns = (*report.boxes.T, report.hits, report.expected, report.deviation,
                    report.ratio, report.large_box.astype(np.int64))
         header = ["h", "N", "k", "M", "hits", "expected", "deviation", "ratio", "large_box"]
-        _emit(_csv_blocks(header, columns), args.out)
+        _emit(_table(header, columns, "csv"), args.out)
     doc = {"p": p, "generator": g, "seed": args.seed, "num_boxes": len(report.boxes),
            "max_deviation": report.max_deviation, "bound": bound, "max_ratio": report.max_ratio,
            "pass": ok}

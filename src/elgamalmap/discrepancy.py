@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .permstat import _row_blocks
 from .sidon import SidonGraph
 
 __all__ = ["DiscrepancyReport", "count_boxes", "theorem_bound", "sweep"]
@@ -50,8 +49,8 @@ def count_boxes(graph: SidonGraph, boxes: np.ndarray) -> np.ndarray:
     np.cumsum(T, axis=1, out=T)
     np.cumsum(T, axis=2, out=T)
     hits = np.empty(len(boxes), dtype=np.int64)
-    for start, stop in _row_blocks(len(boxes), 64):  # 256 boxes of 27 table reads
-        h, N, k, M = boxes[start:stop, :, None].transpose(1, 0, 2)
+    for start in range(0, len(boxes), 256):  # 256 boxes of 27 table reads at a time
+        h, N, k, M = boxes[start : start + 256, :, None].transpose(1, 0, 2)
         a, s = (h % p + 1) % p, (k % d + 1) % d
         # [s, s+M) mod d is [s, min(s+M, d)) plus [0, s+M-d) when it wraps
         y = np.hstack([np.minimum(s + M, d), s, np.maximum(s + M - d, 0)])[..., None]
@@ -59,7 +58,7 @@ def count_boxes(graph: SidonGraph, boxes: np.ndarray) -> np.ndarray:
         row, rest = np.divmod(y, 64)
         # F[box, y, v]; C may be uint16: widen before the signed sum
         F = C[row, v].astype(np.int64) + T[row, rest, C[row + 1, v] - C[row, v]]
-        hits[start:stop] = F @ [1, -1, 1] @ [1, -1, 1]
+        hits[start : start + 256] = F @ [1, -1, 1] @ [1, -1, 1]
     return hits
 
 

@@ -517,6 +517,29 @@ def test_envelope_admits_largest_input(argv):
     assert _admitted(argv)
 
 
+def test_readme_limits_are_the_declared_limits():
+    """The "limit" column of the README's size-envelope table lists exactly
+    the limits that the largest admitted inputs are checked against, plus
+    MAX_TABLE_MODULUS, the limit of --prime."""
+    lines = (ROOT / "README.md").read_text(encoding="utf-8").splitlines()
+    start = lines.index(
+        "| subcommand | cost in cells | limit | largest admitted input | time | peak RSS |"
+    )
+    documented = set()
+    for line in lines[start + 2 :]:
+        if not line.startswith("|"):
+            break
+        for limit in line.split("|")[3].strip().split(", "):
+            if limit:
+                base, _, exponent = limit.replace(",", "").partition("^")
+                documented.add(int(base) ** int(exponent or 1))
+    declared = {cli.MAX_TABLE_MODULUS}
+    for argv in _LARGEST_ADMITTED.values():
+        args = _PARSER.parse_args(argv.split())
+        declared.update(limit for _, limit, _ in args.cost(args))
+    assert documented == declared
+
+
 def test_benchmark_invocations_are_inside_the_envelope():
     """An invocation the envelope rejects exits 1 and would lower the
     benchmark's ok_frac; its workloads are read, not imported, so nothing
