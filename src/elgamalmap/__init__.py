@@ -32,7 +32,6 @@ from .permstat import (
 )
 from .render import cycle_diagram_svg
 from .sidon import (
-    SidonCheck,
     SidonGraph,
     build_graph,
     incomplete_exponential_sum_total,

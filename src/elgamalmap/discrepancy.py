@@ -83,8 +83,6 @@ class DiscrepancyReport:
     expected to shrink.
     """
 
-    p: int
-    g: int
     boxes: np.ndarray
     hits: np.ndarray
     expected: np.ndarray
@@ -132,7 +130,7 @@ def sweep(graph: SidonGraph, num_random_boxes: int, seed: int) -> DiscrepancyRep
     deviation = np.abs(hits - expected)
     ratio = deviation / (math.sqrt(p) * math.log(p) ** 2)
     return DiscrepancyReport(
-        p=p, g=graph.g, boxes=boxes, hits=hits, expected=expected, deviation=deviation,
-        ratio=ratio, large_box=cardinality > p**1.5 * math.log(p) ** 2,
+        boxes=boxes, hits=hits, expected=expected, deviation=deviation, ratio=ratio,
+        large_box=cardinality > p**1.5 * math.log(p) ** 2,
         max_deviation=float(deviation.max()), max_ratio=float(ratio.max()),
     )

@@ -181,12 +181,10 @@ class FamilyStatistics:
     """Cycle statistics of the exponentiation permutations of one prime,
     over a family of generators.
 
-    cycle_counts[i] is the number of cycles for generators[i];
+    cycle_counts[i] is the number of cycles for the i-th generator given;
     avg_k_cycles[k-1] is the mean number of k-cycles over the family.
     """
 
-    p: int
-    generators: tuple[int, ...]
     cycle_counts: tuple[int, ...]
     avg_k_cycles: tuple[float, ...]
 
@@ -211,8 +209,6 @@ def family_statistics(p: int, generators: list[int], k_max: int) -> FamilyStatis
         cycle_counts.extend(np.bincount(rows, minlength=m).tolist())
         k_totals += np.bincount(lengths, minlength=k_max + 1)[: k_max + 1]
     return FamilyStatistics(
-        p=p,
-        generators=tuple(generators),
         cycle_counts=tuple(cycle_counts),
         avg_k_cycles=tuple(int(k_totals[k]) / len(generators) for k in range(1, k_max + 1)),
     )

@@ -35,7 +35,6 @@ from .numth import smallest_generator
 
 __all__ = [
     "SidonGraph",
-    "SidonCheck",
     "build_graph",
     "verify_sidon",
     "max_nontrivial_character_sum",
@@ -87,27 +86,14 @@ def build_graph(p: int, g: int) -> SidonGraph:
     return SidonGraph(p=p, g=g, first=first)
 
 
-@dataclass(frozen=True)
-class SidonCheck:
-    """Outcome of the recurrence certificate.
-
-    When `ok`, the graph is Sidon and `diff_set_size` is the cardinality
-    (p-1)*(p-2) + 1 of {a - b : a, b in the set}, zero difference
-    included.  Otherwise `diff_set_size` is None and `broken_at` is the
-    first exponent y at which the table is 0, holds a value that occurs
-    more than once, or breaks t[(y+1) mod (p-1)] = g*t[y] mod p.
-    """
-
-    ok: bool
-    diff_set_size: int | None
-    broken_at: int | None = None
-
-
-def verify_sidon(graph: SidonGraph) -> SidonCheck:
+def verify_sidon(graph: SidonGraph) -> int | None:
     """Certify the Sidon property of any table from p-1 cells: every
     value occurs once, and t[(y+1) mod d] = g*t[y] mod p for every y, with
-    d = p-1.  A 0 at y needs no test of its own: its successor is then 0
-    too, a repeat, or breaks the recurrence, so y fails either way.
+    d = p-1.  Returns None when it holds, else the witness broken_at: the
+    first y at which the table is 0, holds a value that occurs more than
+    once, or breaks the recurrence.  A 0 at y needs no test of its own:
+    its successor is then 0 too, a repeat, or breaks the recurrence, so
+    y fails either way.
 
     The test is sound for any table and g: when it passes,
     t[y] = t[0]*g**y is a bijection onto Z_p^*, so g**v != 1 for
@@ -118,12 +104,10 @@ def verify_sidon(graph: SidonGraph) -> SidonCheck:
     d*(d-1) + 1 differences (Golomb 1984, the Welch construction).  A
     genuine power table passes by construction.
     """
-    p, d, t = graph.p, graph.d, graph.first
+    p, t = graph.p, graph.first
     broken = np.bincount(t)[t] != 1
     broken |= np.roll(t, -1) != graph.g % p * t % p
-    if broken.any():
-        return SidonCheck(ok=False, diff_set_size=None, broken_at=int(np.argmax(broken)))
-    return SidonCheck(ok=True, diff_set_size=d * (d - 1) + 1)
+    return int(np.argmax(broken)) if broken.any() else None
 
 
 def max_nontrivial_character_sum(graph: SidonGraph) -> tuple[float, int | None]:

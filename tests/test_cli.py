@@ -1,7 +1,11 @@
+import builtins
 import contextlib
+import importlib
 import io
 import json
 import math
+import pkgutil
+import re
 import runpy
 import xml.etree.ElementTree as ET
 from pathlib import Path
@@ -11,6 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import elgamalmap
 from elgamalmap import cli, numth
 from elgamalmap.cli import main
 from elgamalmap.discrepancy import sweep
@@ -539,6 +544,31 @@ def test_readme_limits_are_the_declared_limits():
         declared.update(limit for _, limit, _ in args.cost(args))
     assert documented == declared
 
+
+
+def test_readme_library_layout_is_each_module_api():
+    """The README's "Library layout" table has one row per library module
+    (the command line has its own section).  Each row names every entry of
+    the module's __all__ as a code span that starts with the name, and
+    every capitalized name inside its code spans, other than a builtin
+    such as None, is in that __all__, so a deleted class cannot linger."""
+    lines = (ROOT / "README.md").read_text(encoding="utf-8").splitlines()
+    start = lines.index("| module | contents |")
+    rows = {}
+    for line in lines[start + 2 :]:
+        if not line.startswith("|"):
+            break
+        module, contents = line.strip("|").split("|", 1)
+        rows[module.strip().strip("`")] = re.findall(r"`([^`]*)`", contents)
+    modules = {f"elgamalmap.{info.name}" for info in pkgutil.iter_modules(elgamalmap.__path__)}
+    assert set(rows) == modules - {"elgamalmap.cli"}
+    for module, spans in rows.items():
+        exported = set(importlib.import_module(module).__all__)
+        named = {re.match(r"\w*", span).group() for span in spans}
+        assert exported <= named, (module, exported - named)
+        classes = {word for span in spans for word in re.findall(r"\b[A-Z][a-z]\w*", span)}
+        classes -= set(vars(builtins))
+        assert classes <= exported, (module, classes - exported)
 
 def test_benchmark_invocations_are_inside_the_envelope():
     """An invocation the envelope rejects exits 1 and would lower the

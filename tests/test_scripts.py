@@ -1,6 +1,7 @@
 import importlib
 import json
 import os
+import platform
 import subprocess
 import sys
 from pathlib import Path
@@ -43,34 +44,75 @@ def test_render_gallery_smoke(tmp_path):
     ]
 
 
+_TRACED_CASES = [
+    ("sign-demo", ["sign-demo", "--prime", "5"], {"numth.GroupParams"}),
+    ("sidon", ["sidon", "--prime", "5", "--generator", "all"], {"sidon.verify_sidon"}),
+    (
+        "char-sums",
+        ["char-sums", "--prime", "5", "--generator", "all"],
+        {"sidon.max_nontrivial_character_sum", "sidon.build_graph"},
+    ),
+    ("cycle-dist", ["cycle-dist", "--prime", "13"], {"permstat.family_statistics"}),
+    (
+        "discrepancy",
+        ["discrepancy", "--prime", "13", "--boxes", "5"],
+        {"discrepancy.sweep", "discrepancy.count_boxes"},
+    ),
+]
+
+
 @pytest.mark.parametrize(
-    "argv, layers",
+    "mode, argv, layers",
     [
-        pytest.param(["sign-demo", "--prime", "5"], {"numth.GroupParams"}, id="sign-demo"),
-        pytest.param(
-            ["sidon", "--prime", "5", "--generator", "all"], {"sidon.verify_sidon"}, id="sidon"
-        ),
-        pytest.param(
-            ["char-sums", "--prime", "5", "--generator", "all"],
-            {"sidon.max_nontrivial_character_sum", "sidon.build_graph"},
-            id="char-sums",
-        ),
+        pytest.param(mode, argv, layers, id=name if mode == "spans" else f"{name}-{mode}")
+        for mode in ("spans", "alloc")
+        for name, argv, layers in _TRACED_CASES
     ],
 )
-def test_benchmark_traced_child_runs(tmp_path, argv, layers):
-    """The benchmark's traced mode hooks package names (the dataclasses
-    GroupParams and Permutation among them) and reads the `SidonGraph`
+def test_benchmark_traced_child_runs(tmp_path, mode, argv, layers):
+    """The benchmark's traced modes hook package names (the dataclasses
+    GroupParams and Permutation among them) and read the `SidonGraph`
     first argument of `sidon.verify_sidon` and
     `sidon.max_nontrivial_character_sum` for their counters; a deleted
     one makes every traced child fail, and a renamed function leaves its
     layer empty, which neither the plain benchmark run nor the other tests
-    see."""
+    see.  `spans` times every call and `alloc` runs the heavy kernels
+    under tracemalloc, so each case runs in both."""
     result_path = tmp_path / "result.json"
     result = _run_script(
-        "perfbench/child.py", "spans", str(result_path), str(2 * 2**30), "--", *argv
+        "perfbench/child.py", mode, str(result_path), str(2 * 2**30), "--", *argv
     )
     assert result.returncode == 0, result.stderr
     assert layers <= set(json.loads(result_path.read_text())["layers"])
+
+
+@pytest.mark.skipif(
+    not sys.platform.startswith("linux") or platform.libc_ver()[0] != "glibc",
+    reason="counts the page faults of glibc's heap trimming",
+)
+def test_cycle_kernel_reuses_its_heap(tmp_path):
+    """`kcycles --prime 4001` through the benchmark's untraced child takes
+    about 5,000 minor page faults.  glibc returns the top of the heap to
+    the kernel after each 2**14-cell block of the cycle kernel unless an
+    earlier free has raised its trim threshold, and then faults it back
+    in for the next block: about 42,000 faults and 0.1 s more.  Which
+    state a run is in depends on what the package allocates and frees
+    while it is imported, so a change to the import order or to the
+    import-time objects can flip it with no change to the kernel."""
+    env = dict(os.environ, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    argv = ["kcycles", "--prime", "4001", "--k-max", "20"]
+    child = subprocess.Popen(
+        [sys.executable, str(ROOT / "perfbench" / "child.py"), "plain",
+         str(tmp_path / "result.json"), str(2 * 2**30), "--", *argv],
+        env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+    )
+    stderr = child.stderr.read()
+    _, status, usage = os.wait4(child.pid, 0)
+    child.returncode = os.waitstatus_to_exitcode(status)
+    child.stderr.close()
+    assert child.returncode == 0, stderr
+    assert usage.ru_minflt < 10_000
 
 
 # Layers of BENCHMARK.json whose functions are gone from the package; their

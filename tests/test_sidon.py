@@ -54,8 +54,8 @@ def _direct_character_maximum(p, g):
 def test_family_route_matches_direct_route(p):
     """Reading the smallest generator's table at j*x mod p-1 gives every
     generator's own table, Sidon check and largest character sum.  Each
-    graph has the `ok` and `diff_set_size` of g0's graph, the one
-    certificate `sidon` makes for all generators, and the certified
+    graph has the verdict of g0's graph, the one certificate `sidon`
+    makes for all generators, and the certified
     maximum sqrt(p) of g0's graph, which a direct FFT of each g's own
     table reaches first at (1, 1)."""
     generators = all_generators(p)
@@ -82,9 +82,16 @@ def test_graph_has_p_minus_1_points(p):
     assert [v for _, v in points(graph)] == list(range(p - 1))
 
 
+def _difference_set_size(graph):
+    """|S - S| as `sidon` reports it: d*(d-1) + 1, zero difference
+    included, when `verify_sidon` certifies the graph, else None."""
+    d = graph.d
+    return d * (d - 1) + 1 if verify_sidon(graph) is None else None
+
+
 def test_verify_sidon_small_graphs():
-    assert verify_sidon(build_graph(5, 2)).ok
-    assert verify_sidon(build_graph(3, 2)).ok
+    assert verify_sidon(build_graph(5, 2)) is None
+    assert verify_sidon(build_graph(3, 2)) is None
 
 
 def test_verify_sidon_failure_witness():
@@ -92,8 +99,8 @@ def test_verify_sidon_failure_witness():
     # that do not wrap all differ by (v, v).  The certificate rejects it
     # at y = 0, where the table is 0.
     graph = SidonGraph(p=5, g=0, first=np.arange(4))
-    check = verify_sidon(graph)
-    assert (check.ok, check.diff_set_size, check.broken_at) == (False, None, 0)
+    assert verify_sidon(graph) == 0
+    assert _difference_set_size(graph) is None
     pts = points(graph)
     assert first_collision_witness(pts, 5) == (((1, 1), (0, 0)), ((2, 2), (1, 1)))
     # (0, 0), then (v, v) and, across the wrap, (v - 4 mod 5, v) for v = 1, 2, 3
@@ -123,23 +130,22 @@ def test_sidon_and_difference_size_against_oracle(p):
     for graph in [build_graph(p, g) for g in all_generators(p)]:
         counts = brute_force_difference_counts(points(graph), p)
         assert max(counts.values()) == 1
-        check = verify_sidon(graph)
-        assert check.ok
-        assert check.diff_set_size == len(counts) + 1  # plus zero
+        assert verify_sidon(graph) is None
+        assert _difference_set_size(graph) == len(counts) + 1  # plus zero
 
 
 def test_difference_set_size_examples():
-    assert verify_sidon(build_graph(5, 2)).diff_set_size == 13
-    assert verify_sidon(build_graph(3, 2)).diff_set_size == 3
+    assert _difference_set_size(build_graph(5, 2)) == 13
+    assert _difference_set_size(build_graph(3, 2)) == 3
 
 
 def test_difference_set_size_at_1009():
     graph = build_graph(1009, 11)
-    assert verify_sidon(graph).diff_set_size == 1008**2 - 1008 + 1 == 1015057
+    assert _difference_set_size(graph) == 1008**2 - 1008 + 1 == 1015057
 
 
 def _first_broken_exponent(graph):
-    """Oracle for `broken_at`: the first y whose table value is 0 or
+    """Oracle for the witness of `verify_sidon`: the first y whose table value is 0 or
     occurs twice, or whose successor is not g times it, else None."""
     p, d, g = graph.p, graph.d, graph.g
     t = graph.first.tolist()
@@ -175,20 +181,21 @@ def _tables(draw):
 def test_random_tables_match_oracle(case):
     """The certificate is sound on arbitrary tables t: Z_{p-1} -> Z_p:
     when it accepts, the exhaustive count finds a Sidon set with
-    (p-1)(p-2) + 1 differences; when it rejects, `broken_at` is the first
-    exponent that breaks the per-y definition.  The converse need not
+    (p-1)(p-2) + 1 differences; when it rejects, it returns the first
+    exponent that breaks the per-y definition, a plain int.  The converse need not
     hold: a Sidon table need not satisfy the recurrence."""
     p, g, values = case
     graph = SidonGraph(p=p, g=g, first=np.array(values, dtype=np.int64))
-    check = verify_sidon(graph)
-    assert check.broken_at == _first_broken_exponent(graph)
-    if check.ok:
+    broken_at = verify_sidon(graph)
+    assert broken_at == _first_broken_exponent(graph)
+    if broken_at is None:
         dense = dense_difference_counts(graph)
         assert dense[1:].max() <= 1
-        assert check.diff_set_size == np.count_nonzero(dense) == (p - 1) * (p - 2) + 1
+        assert _difference_set_size(graph) == np.count_nonzero(dense) == (p - 1) * (p - 2) + 1
         assert max(brute_force_difference_counts(points(graph), p).values()) == 1
     else:
-        assert check.diff_set_size is None
+        assert type(broken_at) is int  # JSON-serializable, unlike a numpy integer
+        assert _difference_set_size(graph) is None
 
 
 def test_every_swap_of_a_power_table_is_rejected():
@@ -196,7 +203,7 @@ def test_every_swap_of_a_power_table_is_rejected():
     at y = i-1 (at y = 0 when i = 0), so from p = 5 on the certificate
     rejects every such table, whether or not it is still Sidon.  The one
     swap at p = 3 gives 2*2**y, a scaled power table, which it accepts."""
-    assert verify_sidon(SidonGraph(p=3, g=2, first=np.array([2, 1]))).ok
+    assert verify_sidon(SidonGraph(p=3, g=2, first=np.array([2, 1]))) is None
     swaps = 0
     for p in range(5, 102):
         if not is_prime(p):
@@ -207,9 +214,8 @@ def test_every_swap_of_a_power_table_is_rejected():
             for j in range(i + 1, p - 1):
                 swapped = table.copy()
                 swapped[[i, j]] = swapped[[j, i]]
-                check = verify_sidon(SidonGraph(p=p, g=g, first=swapped))
-                assert (check.ok, check.diff_set_size) == (False, None), (p, i, j)
-                assert check.broken_at == max(i - 1, 0), (p, i, j)
+                broken_at = verify_sidon(SidonGraph(p=p, g=g, first=swapped))
+                assert broken_at == max(i - 1, 0), (p, i, j)
                 swaps += 1
     assert swaps == sum(math.comb(p - 1, 2) for p in range(5, 102) if is_prime(p))
 
