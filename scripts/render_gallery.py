@@ -7,7 +7,8 @@ from __future__ import annotations
 import argparse
 from pathlib import Path
 
-from elgamalmap import all_generators, family_cycle_lengths
+from elgamalmap.numth import all_generators
+from elgamalmap.permstat import family_cycle_lengths
 from elgamalmap.render import cycle_diagram_svg
 
 

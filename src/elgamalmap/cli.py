@@ -54,6 +54,7 @@ __all__ = ["main"]
 
 DEFAULT_SEED = 0
 DIST_MAX_CYCLES = 20  # cycle-count tables truncate here
+CSV_BLOCK_VALUES = 2**14  # the CSV writer formats rows of at most this many values per `%`
 
 
 class InputError(Exception):
@@ -98,7 +99,7 @@ def _table(columns: list[str], arrays: tuple[np.ndarray, ...], out_format: str) 
         return
     yield ",".join(columns) + "\n"
     row_fmt = ",".join("%.6f" if a.dtype.kind == "f" else "%d" for a in arrays) + "\n"
-    step = 2**14 // len(arrays)  # rows of at most 2**14 values per `%`
+    step = CSV_BLOCK_VALUES // len(arrays)
     for start in range(0, len(arrays[0]), step):
         block = [a[start : start + step].tolist() for a in arrays]
         yield row_fmt * len(block[0]) % tuple(chain.from_iterable(zip(*block)))
@@ -307,7 +308,7 @@ def _family(p: int) -> tuple[int, int, str]:
     """The cost of a run over all phi(p-1) generators, one table of p-1
     cells each.  Its limit admits every prime up to 10007 (50,050,012
     cells) and none above 14821, so the exact baseline that `cycle-dist`
-    adds, of degree p-1 (about 0.3 s at 14820), needs no cost of its own."""
+    adds, of degree p-1 (about 0.05 s at 14820), needs no cost of its own."""
     return generator_count(p) * (p - 1), 52_000_000, f"--prime {p} with all generators"
 
 
@@ -336,8 +337,8 @@ _SUBCOMMANDS = (
     ("random-baseline", _cmd_random_baseline,
      "cycle-count distribution of seeded uniform permutations",
      # a sample seeds its own generator (about 21 us, as long as 256 cells
-     # take) and decomposes its degree cells; the exact baseline's recurrence
-     # reads n(n+1)/2 cells for degree n
+     # take) and decomposes its degree cells; the exact baseline is declared
+     # at its full recurrence's n(n+1)/2 cells for degree n, an upper bound
      lambda a: [((a.degree + 256) * a.samples, 2**25,
                  f"--degree {a.degree} --samples {a.samples}"),
                 (a.degree * (a.degree + 1) // 2, 2**26,

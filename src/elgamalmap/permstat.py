@@ -15,13 +15,13 @@ included for calibration runs.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .elgamal import Permutation
-from .numth import _smallest_generator, smallest_generator
+from .numth import _prime_divisors, _smallest_generator, smallest_generator
 
 __all__ = [
     "FamilyStatistics",
@@ -35,38 +35,57 @@ __all__ = [
 ]
 
 
-def _cycle_lengths(images: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Cycle lengths of every row of an (m, n) block of 1-based image
-    tables, m, n >= 1.
+def _cycle_lengths(
+    m: int, n: int, fill: Callable[[int, int, np.ndarray], None]
+) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+    """Cycle lengths of m permutations of {1..n}, n >= 1, decomposed a
+    block of `_block_rows(m, n)` rows at a time.
 
-    Each row must be a bijection on {1..n}: with row offsets added, one
-    bincount over the m*n cells must see every cell exactly once.  Orbits
-    are then labeled by pointer doubling: after ceil(log2 n) rounds of
+    fill(start, stop, out) writes the 1-based image tables of rows
+    [start, stop) into the int64 array `out` of shape (stop - start, n).
+    Each row must be a bijection on {1..n}: with row offsets added, the
+    block's images must hit every one of its cells.  Orbits are then
+    labeled by pointer doubling: after ceil(log2 n) rounds of
     label = min(label, label[succ]); succ = succ[succ], each element
     carries the least element of its cycle, and the cycle lengths are the
     label counts at the elements that are their own label.
 
-    Returns:
-        (row, length) arrays with one entry per cycle, ordered by row and
-        within a row by the least element of the cycle.
+    The work arrays are allocated once per call and every step writes into
+    them, so no block allocates or frees an array of its size.
+
+    Yields:
+        (rows, row, length) per block of `rows` permutations: one entry per
+        cycle, ordered by row within the block and within a row by the
+        least element of the cycle.
 
     Raises:
         ValueError: if a row is not a bijection on {1..n}.
     """
-    m, n = images.shape
-    cells = m * n
-    succ = images.astype(np.int64) - 1
-    if succ.min() < 0 or succ.max() >= n:
-        raise ValueError("image is not a bijection on {1..n}")
-    succ = (succ + np.arange(0, cells, n, dtype=np.int64)[:, None]).ravel()
-    if np.bincount(succ, minlength=cells).max() > 1:
-        raise ValueError("image is not a bijection on {1..n}")
-    label = np.arange(cells, dtype=np.int64)
-    for _ in range((n - 1).bit_length()):
-        np.minimum(label, label.take(succ), out=label)
-        succ = succ.take(succ)
-    roots = np.flatnonzero(label == np.arange(cells))
-    return roots // n, np.bincount(label, minlength=cells)[roots]
+    step = _block_rows(m, n)
+    succ, work, label = (np.empty(step * n, dtype=np.int64) for _ in range(3))
+    offsets = np.arange(-1, step * n - 1, n)[:, None]  # to 0-based cells of the block
+    for start in range(0, m, step):
+        rows = min(step, m - start)
+        s, w, lab = (a[: rows * n] for a in (succ, work, label))
+        block = s.reshape(rows, n)
+        fill(start, start + rows, block)
+        if s.min() < 1 or s.max() > n:
+            raise ValueError("image is not a bijection on {1..n}")
+        block += offsets[:rows]
+        lab.fill(-1)
+        lab[s] = s  # the identity iff the images hit every cell
+        if lab.min() < 0:
+            raise ValueError("image is not a bijection on {1..n}")
+        for _ in range((n - 1).bit_length()):
+            # mode="clip" writes into `out` in place ("raise" copies it); no index is out of range
+            np.take(lab, s, out=w, mode="clip")
+            np.minimum(lab, w, out=lab)
+            np.take(s, s, out=w, mode="clip")
+            s, w = w, s
+        w.fill(0)
+        np.add.at(w, lab, 1)  # nonzero exactly at each cycle's least element
+        roots = np.flatnonzero(w)
+        yield rows, roots // n, w[roots]
 
 
 def stirling_cycle_distribution(n: int) -> np.ndarray:
@@ -80,16 +99,20 @@ def stirling_cycle_distribution(n: int) -> np.ndarray:
         P_m(c) = P_{m-1}(c-1) / m + P_{m-1}(c) * (1 - 1/m)
 
     starting from P_1(1) = 1.  Computed in doubles; probabilities below
-    the underflow threshold clamp to zero.  The values s(n,c)/n! agree
-    with the unsigned-Stirling-number definition.
+    the underflow threshold clamp to zero, and each step skips that
+    all-zero upper tail.  The values s(n,c)/n! agree with the
+    unsigned-Stirling-number definition.
     """
     if n < 1:
         raise ValueError(f"degree must be >= 1, got {n}")
     probs = np.zeros(n + 1)
     probs[1] = 1.0
+    top = 1  # probs[c] is exactly 0.0 for every c > top, so each step skips them
     for m in range(2, n + 1):
         q = 1.0 / m
-        probs[1 : m + 1] = probs[0:m] * q + probs[1 : m + 1] * (1.0 - q)
+        probs[1 : top + 2] = probs[0 : top + 1] * q + probs[1 : top + 2] * (1.0 - q)
+        if probs[top + 1] != 0.0:
+            top += 1
     return probs
 
 
@@ -100,57 +123,66 @@ def expected_k_cycles(k: int) -> float:
     return 1.0 / k
 
 
-def _random_image(n: int, seed: int) -> np.ndarray:
-    """The image table of the seeded uniform permutation of {1..n}: the
-    one sampler behind `random_permutation` and `random_cycle_counts`."""
-    if n < 1:
-        raise ValueError(f"degree must be >= 1, got {n}")
-    return np.random.default_rng(seed).permutation(n) + 1
-
-
 def random_permutation(n: int, seed: int) -> Permutation:
     """A uniform permutation of {1..n} from an unbiased seeded shuffle.
 
     The generator is numpy's PCG64 (`numpy.random.default_rng`); a given
     seed always reproduces the same permutation for a fixed numpy
-    version.
+    version.  `random_cycle_counts` shuffles the same way.
     """
-    return Permutation(n, tuple(_random_image(n, seed).tolist()))
+    image = np.arange(1, n + 1)  # empty for n < 1, which Permutation rejects
+    np.random.default_rng(seed).shuffle(image)
+    return Permutation(n, tuple(image.tolist()))
 
 
-# Cells (rows x degree) per block of the batched cycle kernel: 2**16
-# cells ran no faster and raised the peak RSS of `cycle-dist --prime 4001`
-# from 30.3 to 32.3 MB.
-_BLOCK_CELLS = 2**14
+# Cells (rows x degree) per block of the cycle kernel: the most that keeps
+# each int64 work array below glibc's 128 KiB default mmap threshold, so it
+# comes from the heap whatever the import left the threshold at (mapping
+# 2**14-cell arrays once per block took 42,000 minor page faults at p = 4001).
+# 2**13 cells slowed `cycle-dist --prime 4001` from 0.44 to 0.51 s; 2**16
+# ran no faster and raised its peak RSS from 30.3 to 32.3 MB.
+_BLOCK_CELLS = 2**14 - 16
 
 
-def _row_blocks(m: int, n: int) -> Iterator[tuple[int, int]]:
-    """[start, stop) ranges covering m rows of n cells, each block at most
-    _BLOCK_CELLS cells and at least one row."""
-    step = max(1, _BLOCK_CELLS // n)
-    for start in range(0, m, step):
-        yield start, min(start + step, m)
+def _block_rows(m: int, n: int) -> int:
+    """Rows per block of m rows of n cells: at most _BLOCK_CELLS cells and
+    at least one row."""
+    return max(1, min(m, _BLOCK_CELLS // n))
 
 
 def random_cycle_counts(n: int, samples: int, seed: int) -> list[int]:
     """Cycle counts of the uniform permutations random_permutation(n, seed + i)
     for i = 0..samples-1, decomposed a block of samples at a time."""
+    if n < 1:
+        raise ValueError(f"degree must be >= 1, got {n}")
+    identity = np.arange(1, n + 1)
+
+    def fill(start: int, stop: int, out: np.ndarray) -> None:
+        for i, row in enumerate(out, start):
+            row[:] = identity
+            np.random.default_rng(seed + i).shuffle(row)
+
     counts: list[int] = []
-    for start, stop in _row_blocks(samples, n):
-        images = np.stack([_random_image(n, seed + i) for i in range(start, stop)])
-        rows, _ = _cycle_lengths(images)
-        counts.extend(np.bincount(rows, minlength=stop - start).tolist())
+    for m, rows, _ in _cycle_lengths(samples, n, fill):
+        counts.extend(np.bincount(rows, minlength=m).tolist())
     return counts
 
 
 def _family_blocks(p: int, generators: list[int]) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
-    """(m, row, length) per block of m generators: `_cycle_lengths` of
-    their image tables, g0's power table read at j*x mod (p-1)."""
+    """`_cycle_lengths` of the generators' image tables, built as `family_cycle_lengths` says."""
     g0 = smallest_generator(p)
-    table, d, js = g0.table, g0.d, g0.exponents(generators)
-    xmod = np.arange(1, p, dtype=np.int64) % d  # exponent of x = p-1 wraps to 0
-    for start, stop in _row_blocks(len(js), d):
-        yield stop - start, *_cycle_lengths(table[js[start:stop, None] * xmod % d])
+    d, js = g0.d, g0.exponents(generators)
+    xmod = np.arange(1, p, dtype=np.int64)
+    xmod[-1] = 0  # the exponent of x = p-1 wraps to 0
+    exponents = np.empty((_block_rows(len(js), d), d), dtype=np.int64)
+
+    def fill(start: int, stop: int, out: np.ndarray) -> None:
+        e = exponents[: stop - start]
+        np.multiply(js[start:stop, None], xmod, out=e)
+        np.remainder(e, d, out=e)
+        np.take(g0.table, e, out=out, mode="clip")  # e < d
+
+    return _cycle_lengths(len(js), d, fill)
 
 
 def family_cycle_lengths(p: int, generators: list[int]) -> list[tuple[int, np.ndarray]]:
@@ -159,8 +191,7 @@ def family_cycle_lengths(p: int, generators: list[int]) -> list[tuple[int, np.nd
     Every generator is g = g0**j for the smallest generator g0 and a unit
     j mod p-1, so its image table is g0's one power table,
     `numth.smallest_generator(p).table`, read at j*x mod (p-1), with j from
-    `GroupParams.exponents`.  The tables of many generators are decomposed
-    together, in blocks of at most _BLOCK_CELLS cells.
+    `GroupParams.exponents`; `_cycle_lengths` decomposes them in blocks.
 
     Returns:
         (g, lengths) per generator, in the order given; lengths holds one
@@ -246,9 +277,14 @@ def fixed_point_sweep(max_prime: int) -> list[tuple[int, float]]:
             continue
         d = p - 1
         log = _smallest_generator(p).log  # the sieve has proved p prime
-        xs = np.arange(1, p, dtype=np.int64)
-        h = np.gcd(xs % d, d)
-        solvable = np.gcd(log[xs], d) == h
+        gcd_d = np.ones(d, dtype=np.int64)  # gcd_d[r] = gcd(r, d)
+        for q in _prime_divisors(d):
+            qk = q
+            while d % qk == 0:
+                gcd_d[::qk] *= q
+                qk *= q
+        h = np.roll(gcd_d, -1)  # h[x-1] = gcd(x mod d, d) for x = 1..d
+        solvable = gcd_d[log[1:]] == h
         total = int((phi[d] // phi[d // h[solvable]]).sum())
         rows.append((p, total / int(phi[d])))
     return rows

@@ -20,7 +20,6 @@ from elgamalmap import cli, numth
 from elgamalmap.cli import main
 from elgamalmap.discrepancy import sweep
 from elgamalmap.numth import is_prime, smallest_generator
-from elgamalmap.permstat import _BLOCK_CELLS
 from elgamalmap.sidon import SidonGraph, build_graph
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -249,7 +248,7 @@ def test_discrepancy_csv_is_byte_identical_across_blocks(capsys, tmp_path):
     """The block-formatted CSV equals a per-row, per-cell format of the
     sweep's columns when the rows span three blocks, the last of one row."""
     p, seed = 1009, 3
-    rows_per_block = _BLOCK_CELLS // 9  # nine CSV columns
+    rows_per_block = cli.CSV_BLOCK_VALUES // 9  # nine CSV columns
     fixed_rows = 1 + 2 * (p - 1)  # full box, single rows and single columns
     boxes = 2 * rows_per_block + 1 - fixed_rows
     assert boxes >= 0

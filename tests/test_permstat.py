@@ -44,6 +44,21 @@ def _orbit_walk_lengths(image) -> list[int]:
     return lengths
 
 
+def _decompose(images) -> tuple[np.ndarray, np.ndarray]:
+    """(row, length) of every row of the (m, n) block of 1-based image
+    tables `images`, through the blocked kernel, with rows numbered from 0
+    across its blocks."""
+    images = np.asarray(images)
+
+    def fill(start, stop, out):
+        out[:] = images[start:stop]
+
+    blocks = list(_cycle_lengths(*images.shape, fill))
+    starts = np.cumsum([0] + [m for m, _, _ in blocks])
+    return (np.concatenate([row + start for (_, row, _), start in zip(blocks, starts)]),
+            np.concatenate([lengths for _, _, lengths in blocks]))
+
+
 @settings(max_examples=100)
 @example(1, 0, 0)
 @given(
@@ -56,13 +71,13 @@ def test_cycle_lengths_matches_orbit_walk(n, random_rows, seed):
     identity = np.arange(1, n + 1)
     n_cycle = np.roll(identity, -1)  # x -> x+1, n -> 1
     images = np.stack([identity, n_cycle] + [rng.permutation(n) + 1 for _ in range(random_rows)])
-    rows, lengths = _cycle_lengths(images)
+    rows, lengths = _decompose(images)
     assert rows.tolist() == sorted(rows.tolist())
     for r, image in enumerate(images.tolist()):
         assert lengths[rows == r].tolist() == _orbit_walk_lengths(image)
 
 
-@pytest.mark.parametrize("n", [1, 2, 7])
+@pytest.mark.parametrize("n", [1, 2, 7, 20000])  # 20000: one row per block
 def test_cycle_lengths_rejects_non_bijections(n):
     good = np.arange(1, n + 1)
     bad_rows = [np.full(n, n + 1), np.zeros(n, dtype=np.int64)]
@@ -70,13 +85,13 @@ def test_cycle_lengths_rejects_non_bijections(n):
         bad_rows.append(np.r_[good[:-1], 1])  # 1 repeated, n missing
     for bad in bad_rows:
         with pytest.raises(ValueError):
-            _cycle_lengths(bad.reshape(1, n))
+            _decompose(bad.reshape(1, n))
         with pytest.raises(ValueError):
-            _cycle_lengths(np.stack([good, bad, good]))
+            _decompose(np.stack([good, bad, good]))
 
 
 def test_cycle_decompose_examples():
-    rows, lengths = _cycle_lengths(np.array([[1, 2, 3, 4]]))
+    rows, lengths = _decompose([[1, 2, 3, 4]])
     assert lengths.tolist() == [1, 1, 1, 1]
     assert rows.tolist() == [0, 0, 0, 0]
     [(_, p5)] = family_cycle_lengths(5, [2])
@@ -88,7 +103,7 @@ def test_cycle_decompose_examples():
 @settings(max_examples=60)
 @given(st.integers(min_value=1, max_value=300), st.integers(min_value=0, max_value=2**63 - 1))
 def test_cycle_lengths_sum_to_degree(n, seed):
-    _, lengths = _cycle_lengths(np.array([random_permutation(n, seed).image]))
+    _, lengths = _decompose([random_permutation(n, seed).image])
     assert lengths.sum() == n
 
 
@@ -111,6 +126,23 @@ def test_stirling_examples():
     assert three[1:4] == pytest.approx([1 / 3, 1 / 2, 1 / 6], abs=1e-15)
     with pytest.raises(ValueError):
         stirling_cycle_distribution(0)
+
+
+def _full_stirling_recurrence(n):
+    """Oracle: the recurrence over every entry 1..m at each step m."""
+    probs = np.zeros(n + 1)
+    probs[1] = 1.0
+    for m in range(2, n + 1):
+        q = 1.0 / m
+        probs[1 : m + 1] = probs[0:m] * q + probs[1 : m + 1] * (1.0 - q)
+    return probs
+
+
+@pytest.mark.parametrize("n", [1, 2, 170, 1008, 4000, 14820])
+def test_stirling_nonzero_prefix_matches_full_recurrence(n):
+    """Skipping the underflowed upper tail changes no byte: the full loop
+    leaves every one of those entries at exactly 0.0."""
+    assert stirling_cycle_distribution(n).tobytes() == _full_stirling_recurrence(n).tobytes()
 
 
 def test_stirling_1009_mode_is_near_seven():
@@ -177,7 +209,7 @@ def test_monte_carlo_k_cycle_averages():
     """10**4 seeded samples of degree 200: k-cycle averages within
     1/k +- 0.05 for k = 1..5."""
     images = np.array([random_permutation(200, seed).image for seed in range(10_000)])
-    totals = np.bincount(_cycle_lengths(images)[1], minlength=6)
+    totals = np.bincount(_decompose(images)[1], minlength=6)
     for k in range(1, 6):
         assert abs(totals[k] / 10_000 - 1 / k) < 0.05
 

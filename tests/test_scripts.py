@@ -86,22 +86,33 @@ def test_benchmark_traced_child_runs(tmp_path, mode, argv, layers):
     assert layers <= set(json.loads(result_path.read_text())["layers"])
 
 
+# glibc's default trim and mmap thresholds, frozen: without these variables
+# a free of a large block while the package is imported raises both
+_FROZEN_MALLOC = {"MALLOC_TRIM_THRESHOLD_": "131072", "MALLOC_MMAP_THRESHOLD_": "131072"}
+
+
 @pytest.mark.skipif(
     not sys.platform.startswith("linux") or platform.libc_ver()[0] != "glibc",
     reason="counts the page faults of glibc's heap trimming",
 )
-def test_cycle_kernel_reuses_its_heap(tmp_path):
-    """`kcycles --prime 4001` through the benchmark's untraced child takes
-    about 5,000 minor page faults.  glibc returns the top of the heap to
-    the kernel after each 2**14-cell block of the cycle kernel unless an
-    earlier free has raised its trim threshold, and then faults it back
-    in for the next block: about 42,000 faults and 0.1 s more.  Which
-    state a run is in depends on what the package allocates and frees
-    while it is imported, so a change to the import order or to the
-    import-time objects can flip it with no change to the kernel."""
-    env = dict(os.environ, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1")
+@pytest.mark.parametrize("malloc_env", [{}, _FROZEN_MALLOC], ids=["default", "frozen"])
+@pytest.mark.parametrize(
+    "argv",
+    [["kcycles", "--prime", "4001", "--k-max", "20"], ["cycle-dist", "--prime", "4001"]],
+    ids=["kcycles", "cycle-dist"],
+)
+def test_cycle_kernel_reuses_its_heap(tmp_path, argv, malloc_env):
+    """A 4001 family run through the benchmark's untraced child takes
+    about 5,000 minor page faults.  The cycle kernel allocates its work
+    arrays once per call, each below glibc's 128 KiB mmap threshold, so
+    no block maps, unmaps or trims memory that the next block faults back
+    in (about 42,000 faults and 0.1 s more when each 2**14-cell block
+    did).  With the thresholds frozen at their defaults the count must
+    hold too, so it does not rest on what importing the package happened
+    to allocate and free."""
+    env = dict(os.environ, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1",
+               **malloc_env)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    argv = ["kcycles", "--prime", "4001", "--k-max", "20"]
     child = subprocess.Popen(
         [sys.executable, str(ROOT / "perfbench" / "child.py"), "plain",
          str(tmp_path / "result.json"), str(2 * 2**30), "--", *argv],
