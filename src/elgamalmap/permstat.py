@@ -2,9 +2,9 @@
 baseline they are compared against.
 
 Every cycle statistic comes from one kernel, `_cycle_lengths`, which
-decomposes a block of image tables at once; the generator family of a
-prime and the seeded random sample are both fed to it in blocks of at
-most `_BLOCK_CELLS` cells.
+decomposes a block of image tables at once in three work arrays; the
+generator family of a prime and the seeded random sample are both fed
+to it in blocks of at most `_BLOCK_CELLS` cells.
 
 The baseline facts: a uniform permutation of n elements has s(n,c)/n!
 probability of exactly c cycles (unsigned Stirling numbers of the first
@@ -36,22 +36,23 @@ __all__ = [
 
 
 def _cycle_lengths(
-    m: int, n: int, fill: Callable[[int, int, np.ndarray], None]
+    m: int, n: int, fill: Callable[[int, int, np.ndarray, np.ndarray], None]
 ) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
     """Cycle lengths of m permutations of {1..n}, n >= 1, decomposed a
     block of `_block_rows(m, n)` rows at a time.
 
-    fill(start, stop, out) writes the 1-based image tables of rows
-    [start, stop) into the int64 array `out` of shape (stop - start, n).
-    Each row must be a bijection on {1..n}: with row offsets added, the
-    block's images must hit every one of its cells.  Orbits are then
-    labeled by pointer doubling: after ceil(log2 n) rounds of
-    label = min(label, label[succ]); succ = succ[succ], each element
+    fill(start, stop, out, scratch) writes the 1-based image tables of
+    rows [start, stop) into the int64 array `out` of shape
+    (stop - start, n).  Each row must be a bijection on {1..n}: with row
+    offsets added, the block's images must hit every one of its cells.
+    Orbits are then labeled by pointer doubling: after ceil(log2 n) rounds
+    of label = min(label, label[succ]); succ = succ[succ], each element
     carries the least element of its cycle, and the cycle lengths are the
     label counts at the elements that are their own label.
 
-    The work arrays are allocated once per call and every step writes into
-    them, so no block allocates or frees an array of its size.
+    The three work arrays are allocated once per call and every step
+    writes into them, so no block allocates or frees an array of its size.
+    `scratch`, shaped like `out`, is the gather buffer, free for fill to use.
 
     Yields:
         (rows, row, length) per block of `rows` permutations: one entry per
@@ -63,15 +64,14 @@ def _cycle_lengths(
     """
     step = _block_rows(m, n)
     succ, work, label = (np.empty(step * n, dtype=np.int64) for _ in range(3))
-    offsets = np.arange(-1, step * n - 1, n)[:, None]  # to 0-based cells of the block
     for start in range(0, m, step):
         rows = min(step, m - start)
         s, w, lab = (a[: rows * n] for a in (succ, work, label))
-        block = s.reshape(rows, n)
-        fill(start, start + rows, block)
+        fill(start, start + rows, s.reshape(rows, n), w.reshape(rows, n))
         if s.min() < 1 or s.max() > n:
             raise ValueError("image is not a bijection on {1..n}")
-        block += offsets[:rows]
+        for r in range(rows):  # no broadcast, so numpy allocates no iteration buffer
+            s[r * n : (r + 1) * n] += r * n - 1  # to 0-based cells of the block
         lab.fill(-1)
         lab[s] = s  # the identity iff the images hit every cell
         if lab.min() < 0:
@@ -157,7 +157,7 @@ def random_cycle_counts(n: int, samples: int, seed: int) -> list[int]:
         raise ValueError(f"degree must be >= 1, got {n}")
     identity = np.arange(1, n + 1)
 
-    def fill(start: int, stop: int, out: np.ndarray) -> None:
+    def fill(start: int, stop: int, out: np.ndarray, _: np.ndarray) -> None:
         for i, row in enumerate(out, start):
             row[:] = identity
             np.random.default_rng(seed + i).shuffle(row)
@@ -172,15 +172,15 @@ def _family_blocks(p: int, generators: list[int]) -> Iterator[tuple[int, np.ndar
     """`_cycle_lengths` of the generators' image tables, built as `family_cycle_lengths` says."""
     g0 = smallest_generator(p)
     d, js = g0.d, g0.exponents(generators)
-    xmod = np.arange(1, p, dtype=np.int64)
-    xmod[-1] = 0  # the exponent of x = p-1 wraps to 0
-    exponents = np.empty((_block_rows(len(js), d), d), dtype=np.int64)
 
-    def fill(start: int, stop: int, out: np.ndarray) -> None:
-        e = exponents[: stop - start]
-        np.multiply(js[start:stop, None], xmod, out=e)
-        np.remainder(e, d, out=e)
-        np.take(g0.table, e, out=out, mode="clip")  # e < d
+    def fill(start: int, stop: int, out: np.ndarray, scratch: np.ndarray) -> None:
+        x = scratch[-1]  # x = 1..p-1 as a running sum, multiplied in place last
+        x.fill(1)
+        np.cumsum(x, out=x)
+        for row, j in zip(scratch, js[start:stop]):
+            np.multiply(x, j, out=row)
+        np.remainder(scratch, d, out=scratch)  # x = p-1 reduces to exponent 0
+        np.take(g0.table, scratch, out=out, mode="clip")  # scratch < d
 
     return _cycle_lengths(len(js), d, fill)
 
@@ -189,9 +189,9 @@ def family_cycle_lengths(p: int, generators: list[int]) -> list[tuple[int, np.nd
     """Cycle lengths of x -> g**x on {1..p-1} for every g in `generators`.
 
     Every generator is g = g0**j for the smallest generator g0 and a unit
-    j mod p-1, so its image table is g0's one power table,
-    `numth.smallest_generator(p).table`, read at j*x mod (p-1), with j from
-    `GroupParams.exponents`; `_cycle_lengths` decomposes them in blocks.
+    j mod p-1 (`GroupParams.exponents`), so its image table is g0's one
+    power table read at j*x mod (p-1).  `_cycle_lengths` decomposes the
+    tables; x and the products j*x live in its gather buffer.
 
     Returns:
         (g, lengths) per generator, in the order given; lengths holds one

@@ -134,7 +134,7 @@ def max_nontrivial_character_sum(graph: SidonGraph) -> tuple[float, int | None]:
     root, tol = math.sqrt(p), 1e-9 * math.sqrt(p)
     row = np.multiply(graph.first, 2j * np.pi / p)
     np.exp(row, out=row)
-    row = np.abs(np.fft.fft(row))
+    row = np.abs(np.fft.fft(row, out=row))
     peak = float(row.max())
     if abs(row[0] - 1.0) <= tol and root - tol <= row[1:].min() and peak <= root + tol:
         return root, None

@@ -393,7 +393,7 @@ _LARGEST_ADMITTED = {
     "cycle-dist": "cycle-dist --prime 12487",
     "cycle-dist-largest-prime": "cycle-dist --prime 14821",
     "random-baseline-samples": "random-baseline --degree 1 --samples 130561",
-    "random-baseline-degree": "random-baseline --degree 11584 --samples 2833",
+    "random-baseline-degree": "random-baseline --degree 32768 --samples 1016",
     "kcycles": "kcycles --prime 12487 --k-max 16384",
     "kcycles-default-k-max": "kcycles --prime 3",
     "fixed-points": "fixed-points --max-prime 20000",
@@ -416,8 +416,8 @@ _FIRST_REJECTED = {
     "cycles-all-first-outside": "cycles --prime 10289 --generator all",
     "cycle-dist-first-outside": "cycle-dist --prime 10289",
     "random-baseline-first-samples-outside": "random-baseline --degree 1 --samples 130562",
-    "random-baseline-first-cells-outside": "random-baseline --degree 11584 --samples 2834",
-    "random-baseline-first-degree-outside": "random-baseline --degree 11585 --samples 1",
+    "random-baseline-first-cells-outside": "random-baseline --degree 32768 --samples 1017",
+    "random-baseline-first-degree-outside": "random-baseline --degree 32769 --samples 1",
     "kcycles-first-outside": "kcycles --prime 10289",
     "kcycles-first-k-max-outside": "kcycles --prime 3 --k-max 16385",
     "fixed-points-first-outside": "fixed-points --max-prime 20001",
@@ -451,7 +451,7 @@ _FIRST_REJECTED = {
             ["random-baseline", "--degree", "1000000000", "--samples", "1"],
             id="random-baseline-degree",
         ),
-        # the exact baseline's n(n+1)/2 cells: once minutes of work
+        # the exact baseline's full n(n+1)/2-cell recurrence: once minutes of work
         pytest.param(
             ["random-baseline", "--degree", "1000000", "--samples", "1"],
             id="random-baseline-stirling",
@@ -591,13 +591,14 @@ def test_discrepancy_runs_at_the_largest_admitted_prime(capsys):
 
 
 def test_stirling_envelope_edge(capsys):
-    """The exact baseline's recurrence reads n(n+1)/2 cells: every degree
-    up to 11584 is admitted and runs, and 11585 is the first degree
-    outside."""
-    code, out = run(capsys, "random-baseline", "--degree", "11584", "--samples", "1")
+    """The exact baseline takes one step per degree over its nonzero
+    prefix, 0.15 s at 32768, so the degree limit is set by the samples:
+    every degree up to 32768 is admitted and runs, and 32769 is the first
+    degree outside."""
+    code, out = run(capsys, "random-baseline", "--degree", "32768", "--samples", "1")
     assert code == 0
     assert out.splitlines()[0] == "c,theory_percent,random_percent"
-    assert not _admitted(["random-baseline", "--degree", "11585", "--samples", "1"])
+    assert not _admitted(["random-baseline", "--degree", "32769", "--samples", "1"])
 
 
 def test_sidon_certifies_at_the_table_limit(capsys):

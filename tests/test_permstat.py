@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 from math import factorial
 
 import numpy as np
@@ -7,8 +8,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from elgamalmap.elgamal import elgamal_permutation
-from elgamalmap.numth import GroupParams, all_generators
+from elgamalmap.numth import GroupParams, all_generators, smallest_generator
 from elgamalmap.permstat import (
+    _block_rows,
     _cycle_lengths,
     expected_k_cycles,
     family_cycle_lengths,
@@ -50,7 +52,7 @@ def _decompose(images) -> tuple[np.ndarray, np.ndarray]:
     across its blocks."""
     images = np.asarray(images)
 
-    def fill(start, stop, out):
+    def fill(start, stop, out, scratch):
         out[:] = images[start:stop]
 
     blocks = list(_cycle_lengths(*images.shape, fill))
@@ -255,6 +257,35 @@ def test_family_cycle_lengths_matches_orbit_walk(p):
     for g, lengths in family:
         image = elgamal_permutation(GroupParams(p, g)).image
         assert lengths.tolist() == _orbit_walk_lengths(image)
+
+
+@pytest.mark.parametrize(
+    "p, generators, run",
+    [
+        (999983, lambda p: [smallest_generator(p).g], family_cycle_lengths),
+        (4001, all_generators, lambda p, generators: family_statistics(p, generators, 20)),
+    ],
+    ids=["one-row-blocks", "all-generators"],
+)
+def test_family_kernel_allocates_only_its_work_arrays(p, generators, run):
+    """With g0's table and log built beforehand, a family run allocates the
+    kernel's three work arrays and at most 128 KiB besides: the
+    generators' exponents and the small per-block results.  One more
+    array of p-1 cells breaks the bound: 8 MB at 999983, and at 4001 the
+    160 KB that a block of exponents and a column of residues took."""
+    generators = generators(p)
+    g0 = smallest_generator(p)
+    g0.exponents(generators)  # builds log for every generator but g0
+    g0.table  # built once per prime, before tracing
+    work_arrays = 3 * _block_rows(len(generators), p - 1) * (p - 1) * 8
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        run(p, generators)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak <= work_arrays + 2**17
 
 
 def test_fixed_point_sweep_matches_brute_force():

@@ -98,18 +98,22 @@ _FROZEN_MALLOC = {"MALLOC_TRIM_THRESHOLD_": "131072", "MALLOC_MMAP_THRESHOLD_": 
 @pytest.mark.parametrize("malloc_env", [{}, _FROZEN_MALLOC], ids=["default", "frozen"])
 @pytest.mark.parametrize(
     "argv",
-    [["kcycles", "--prime", "4001", "--k-max", "20"], ["cycle-dist", "--prime", "4001"]],
-    ids=["kcycles", "cycle-dist"],
+    [
+        ["kcycles", "--prime", "4001", "--k-max", "20"],
+        ["cycle-dist", "--prime", "4001"],
+        ["cycles", "--prime", "1009", "--generator", "all"],
+    ],
+    ids=["kcycles", "cycle-dist", "cycles-all"],
 )
 def test_cycle_kernel_reuses_its_heap(tmp_path, argv, malloc_env):
-    """A 4001 family run through the benchmark's untraced child takes
-    about 5,000 minor page faults.  The cycle kernel allocates its work
-    arrays once per call, each below glibc's 128 KiB mmap threshold, so
-    no block maps, unmaps or trims memory that the next block faults back
-    in (about 42,000 faults and 0.1 s more when each 2**14-cell block
-    did).  With the thresholds frozen at their defaults the count must
-    hold too, so it does not rest on what importing the package happened
-    to allocate and free."""
+    """A family run through the benchmark's untraced child, at 4001 or
+    at 1009 with 16 rows per block, takes about 5,000 minor page faults.
+    The cycle kernel allocates its work arrays once per call, each below
+    glibc's 128 KiB mmap threshold, so no block maps, unmaps or trims
+    memory that the next block faults back in (about 42,000 faults and
+    0.1 s more when each 2**14-cell block did).  With the thresholds
+    frozen at their defaults the count must hold too, so it does not rest
+    on what importing the package happened to allocate and free."""
     env = dict(os.environ, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1",
                **malloc_env)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
