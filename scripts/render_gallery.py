@@ -7,8 +7,10 @@ from __future__ import annotations
 import argparse
 from pathlib import Path
 
+import numpy as np
+
 from elgamalmap.numth import all_generators
-from elgamalmap.permstat import family_cycle_lengths
+from elgamalmap.permstat import family_cycle_types
 from elgamalmap.render import cycle_diagram_svg
 
 
@@ -21,7 +23,9 @@ def main() -> None:
 
     args.outdir.mkdir(parents=True, exist_ok=True)
     generators = all_generators(args.prime)[: args.count]
-    for g, lengths in family_cycle_lengths(args.prime, generators):
+    index, length, count = family_cycle_types(args.prime, generators)
+    for i, g in enumerate(generators):
+        lengths = np.repeat(length[index == i], count[index == i])
         path = args.outdir / f"cycles_p{args.prime}_g{g}.svg"
         path.write_text(cycle_diagram_svg(lengths.tolist()), encoding="utf-8")
         print(f"wrote {path} ({len(lengths)} cycles)")

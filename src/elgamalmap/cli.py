@@ -33,8 +33,7 @@ from .numth import (
     smallest_generator,
 )
 from .permstat import (
-    expected_k_cycles,
-    family_cycle_lengths,
+    family_cycle_types,
     family_statistics,
     fixed_point_sweep,
     random_cycle_counts,
@@ -124,14 +123,9 @@ def _emit(text: str | Iterable[str], out_path: str | None) -> None:
 
 def _cmd_cycles(args) -> bool:
     p = args.prime
-    generator, length = [], []
-    for g, lengths in family_cycle_lengths(p, _resolve_generators(p, args.generator)):
-        generator += [g] * len(lengths)
-        length += sorted(lengths.tolist(), reverse=True)  # longest cycle first
-    generator, length = np.array(generator), np.array(length)
-    # one row per run of equal (generator, cycle_length) pairs
-    first = np.flatnonzero(np.diff(generator, prepend=0) | np.diff(length, prepend=0))
-    arrays = (generator[first], length[first], np.diff(first, append=len(length)))
+    generators = _resolve_generators(p, args.generator)
+    index, length, count = family_cycle_types(p, generators)
+    arrays = (np.array(generators)[index], length, count)
     _emit(_table(["generator", "cycle_length", "multiplicity"], arrays, args.format), args.out)
     return True
 
@@ -160,9 +154,8 @@ def _cmd_random_baseline(args) -> bool:
 
 def _cmd_kcycles(args) -> bool:
     stats = family_statistics(args.prime, all_generators(args.prime), k_max=args.k_max)
-    ks = range(1, args.k_max + 1)
-    theory = [expected_k_cycles(k) for k in ks]
-    arrays = (np.array(ks), np.array(theory), np.array(stats.avg_k_cycles))
+    ks = np.arange(1, args.k_max + 1)
+    arrays = (ks, 1.0 / ks, np.array(stats.avg_k_cycles))  # a uniform permutation has 1/k k-cycles
     _emit(_table(["k", "theory", "empirical_average"], arrays, args.format), args.out)
     return True
 
@@ -171,6 +164,16 @@ def _cmd_fixed_points(args) -> bool:
     arrays = tuple(map(np.array, zip(*fixed_point_sweep(args.max_prime))))
     _emit(_table(["p", "avg_fixed_points"], arrays, args.format), args.out)
     return True
+
+
+def _family_check_doc(p: int, generators: list[int], row: dict, key: str, at: int | None) -> str:
+    """The JSON document of one check of g0's graph that decides every
+    generator: `row` for each, the verdict, and, when the check fails, the
+    place `at` which it broke under `key`."""
+    doc = {"p": p, "results": [{"generator": g, **row} for g in generators], "pass": at is None}
+    if at is not None:
+        doc[key] = at
+    return _json(doc)
 
 
 def _cmd_sidon(args) -> bool:
@@ -183,10 +186,8 @@ def _cmd_sidon(args) -> bool:
     ok = broken_at is None
     size = (p - 1) ** 2 - (p - 1) + 1  # |S - S| of a Sidon set of p-1 points
     row = {"ok": ok, "diff_set_size": size if ok else None, "expected_diff_set_size": size}
-    doc = {"p": p, "results": [{"generator": g, **row} for g in generators], "pass": ok}
-    if not ok:
-        doc["broken_at"] = broken_at  # the first failing exponent of g0's table
-    _emit(_json(doc), args.out)
+    # broken_at is the first failing exponent of g0's table
+    _emit(_family_check_doc(p, generators, row, "broken_at", broken_at), args.out)
     return ok
 
 
@@ -200,10 +201,8 @@ def _cmd_char_sums(args) -> bool:
     ok = off_at is None
     row = {"max_sum": max_sum, "bound": sidon_character_bound(p), "argmax_s": 1, "argmax_t": 1,
            "pass": ok}
-    doc = {"p": p, "results": [{"generator": g, **row} for g in generators], "pass": ok}
-    if not ok:
-        doc["off_at"] = off_at  # the first t at which g0's sums are off their exact values
-    _emit(_json(doc), args.out)
+    # off_at is the first t at which g0's sums are off their exact values
+    _emit(_family_check_doc(p, generators, row, "off_at", off_at), args.out)
     return ok
 
 
@@ -241,8 +240,8 @@ def _cmd_discrepancy(args) -> bool:
 
 def _cmd_render_cycles(args) -> bool:
     p = args.prime
-    [(_, lengths)] = family_cycle_lengths(p, _resolve_generators(p, args.generator, single=True))
-    _emit(cycle_diagram_svg(lengths.tolist()), args.out)
+    _, length, count = family_cycle_types(p, _resolve_generators(p, args.generator, single=True))
+    _emit(cycle_diagram_svg(np.repeat(length, count).tolist()), args.out)
     return True
 
 
@@ -330,7 +329,7 @@ def _rows_if_all(args, limit: int) -> list[tuple[int, int, str]]:
 # so that each largest admitted input runs within about 4 s and 128 MB
 # (README, "Size envelope").
 _SUBCOMMANDS = (
-    ("cycles", _cmd_cycles, "cycle lengths of x -> g**x, per generator", _family_if_all,
+    ("cycles", _cmd_cycles, "cycle type of x -> g**x, per generator", _family_if_all,
      (_PRIME, _GENERATOR_OR_ALL, _FORMAT)),
     ("cycle-dist", _cmd_cycle_dist, "cycle-count distribution vs exact theory",
      lambda a: [_family(a.prime)], (_PRIME, _FORMAT)),

@@ -4,7 +4,8 @@ baseline they are compared against.
 Every cycle statistic comes from one kernel, `_cycle_lengths`, which
 decomposes a block of image tables at once in three work arrays; the
 generator family of a prime and the seeded random sample are both fed
-to it in blocks of at most `_BLOCK_CELLS` cells.
+to it in blocks of at most `_BLOCK_CELLS` cells.  Its callers reduce
+each row's cycles to counts, so none depends on their order in a row.
 
 The baseline facts: a uniform permutation of n elements has s(n,c)/n!
 probability of exactly c cycles (unsigned Stirling numbers of the first
@@ -26,10 +27,9 @@ from .numth import _prime_divisors, _smallest_generator, smallest_generator
 __all__ = [
     "FamilyStatistics",
     "stirling_cycle_distribution",
-    "expected_k_cycles",
     "random_permutation",
     "random_cycle_counts",
-    "family_cycle_lengths",
+    "family_cycle_types",
     "family_statistics",
     "fixed_point_sweep",
 ]
@@ -56,8 +56,8 @@ def _cycle_lengths(
 
     Yields:
         (rows, row, length) per block of `rows` permutations: one entry per
-        cycle, ordered by row within the block and within a row by the
-        least element of the cycle.
+        cycle, ordered by row within the block (within a row, by the least
+        element of the cycle, which no caller relies on).
 
     Raises:
         ValueError: if a row is not a bijection on {1..n}.
@@ -116,13 +116,6 @@ def stirling_cycle_distribution(n: int) -> np.ndarray:
     return probs
 
 
-def expected_k_cycles(k: int) -> float:
-    """Mean number of k-cycles of a uniform permutation: exactly 1/k."""
-    if k < 1:
-        raise ValueError(f"cycle length must be >= 1, got {k}")
-    return 1.0 / k
-
-
 def random_permutation(n: int, seed: int) -> Permutation:
     """A uniform permutation of {1..n} from an unbiased seeded shuffle.
 
@@ -169,7 +162,10 @@ def random_cycle_counts(n: int, samples: int, seed: int) -> list[int]:
 
 
 def _family_blocks(p: int, generators: list[int]) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
-    """`_cycle_lengths` of the generators' image tables, built as `family_cycle_lengths` says."""
+    """`_cycle_lengths` of the generators' image tables, in the order given:
+    g = g0**j, for the smallest generator g0 and a unit j mod p-1
+    (`GroupParams.exponents`), reads g0's one power table at j*x mod (p-1),
+    and x and the products j*x live in the kernel's gather buffer."""
     g0 = smallest_generator(p)
     d, js = g0.d, g0.exponents(generators)
 
@@ -185,26 +181,26 @@ def _family_blocks(p: int, generators: list[int]) -> Iterator[tuple[int, np.ndar
     return _cycle_lengths(len(js), d, fill)
 
 
-def family_cycle_lengths(p: int, generators: list[int]) -> list[tuple[int, np.ndarray]]:
-    """Cycle lengths of x -> g**x on {1..p-1} for every g in `generators`.
-
-    Every generator is g = g0**j for the smallest generator g0 and a unit
-    j mod p-1 (`GroupParams.exponents`), so its image table is g0's one
-    power table read at j*x mod (p-1).  `_cycle_lengths` decomposes the
-    tables; x and the products j*x live in its gather buffer.
+def family_cycle_types(p: int, generators: list[int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Cycle type of x -> g**x on {1..p-1} for every g in `generators`.
 
     Returns:
-        (g, lengths) per generator, in the order given; lengths holds one
-        entry per cycle, ordered by the least element of the cycle.
+        (index, length, count): int64 columns with one row per distinct
+        cycle length of generators[index], ordered by index and within an
+        index longest cycle first; count is the number of cycles of that
+        length, so the lengths times the counts of an index sum to p-1.
 
     Raises:
         ValueError: if p is not an odd prime or an entry of `generators`
             is not a generator mod p.
     """
-    lengths: list[np.ndarray] = []
-    for m, rows, block_lengths in _family_blocks(p, generators):
-        lengths.extend(np.split(block_lengths, np.searchsorted(rows, np.arange(1, m))))
-    return list(zip(generators, lengths))
+    blocks, start = [np.empty((2, 0), dtype=np.int64)], 0  # no generators, no rows
+    for m, rows, lengths in _family_blocks(p, generators):
+        # every length is below p, so one code sorts by row, then longest first
+        blocks.append(np.unique((start + rows) * p + p - lengths, return_counts=True))
+        start += m
+    code, count = np.concatenate(blocks, axis=1)
+    return code // p, p - code % p, count
 
 
 @dataclass(frozen=True)

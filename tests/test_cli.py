@@ -819,7 +819,7 @@ def test_empty_out_fails_before_computing(subcommand, monkeypatch, capsys):
         raise AssertionError("a kernel ran before --out was checked")
 
     monkeypatch.setattr(cli, "sweep", kernel_must_not_run)
-    monkeypatch.setattr(cli, "family_cycle_lengths", kernel_must_not_run)
+    monkeypatch.setattr(cli, "family_cycle_types", kernel_must_not_run)
     code = cli.main([*subcommand.split(), "--out", ""])
     captured = capsys.readouterr()
     assert code == 1

@@ -12,8 +12,7 @@ from elgamalmap.numth import GroupParams, all_generators, smallest_generator
 from elgamalmap.permstat import (
     _block_rows,
     _cycle_lengths,
-    expected_k_cycles,
-    family_cycle_lengths,
+    family_cycle_types,
     family_statistics,
     fixed_point_sweep,
     random_cycle_counts,
@@ -96,10 +95,11 @@ def test_cycle_decompose_examples():
     rows, lengths = _decompose([[1, 2, 3, 4]])
     assert lengths.tolist() == [1, 1, 1, 1]
     assert rows.tolist() == [0, 0, 0, 0]
-    [(_, p5)] = family_cycle_lengths(5, [2])
-    assert p5.tolist() == [3, 1]  # cycle (1 2 4), fixed point 3
-    [(_, p3)] = family_cycle_lengths(3, [2])
-    assert p3.tolist() == [2]
+    index, length, count = family_cycle_types(5, [2, 3])
+    # g=2: cycle (1 2 4) and fixed point 3; g=3: the 4-cycle (1 3 2 4)
+    assert (index.tolist(), length.tolist(), count.tolist()) == ([0, 0, 1], [3, 1, 4], [1, 1, 1])
+    assert [a.tolist() for a in family_cycle_types(3, [2])] == [[0], [2], [1]]
+    assert [a.dtype for a in family_cycle_types(3, [])] == [np.int64] * 3
 
 
 @settings(max_examples=60)
@@ -183,14 +183,6 @@ def test_expected_cycles_examples():
     assert _expected_cycles(1009) == pytest.approx(7.4944261435405535, abs=1e-9)
 
 
-def test_expected_k_cycles_examples():
-    assert expected_k_cycles(1) == 1.0
-    assert expected_k_cycles(2) == 0.5
-    assert expected_k_cycles(5) == pytest.approx(0.2)
-    with pytest.raises(ValueError):
-        expected_k_cycles(0)
-
-
 def test_random_permutation_degree_one():
     assert random_permutation(1, 99).image == (1,)
 
@@ -247,22 +239,41 @@ def test_family_statistics_rejects_bad_input():
             family_statistics(5, [2, g, 3], k_max=3)
 
 
-@pytest.mark.parametrize("p", [3, 5, 7, 13, 61, 101, 1009])
-def test_family_cycle_lengths_matches_orbit_walk(p):
-    """Every generator, relabeled from g0's table in blocks (18 of them at
-    p = 1009), against the orbit walk on its own permutation."""
-    generators = all_generators(p)
-    family = family_cycle_lengths(p, generators)
-    assert [g for g, _ in family] == generators
-    for g, lengths in family:
-        image = elgamal_permutation(GroupParams(p, g)).image
-        assert lengths.tolist() == _orbit_walk_lengths(image)
+# (p, how many of its generators, smallest first; None for all of them)
+_ORACLE_CASES = [(p, None) for p in range(3, 200) if all(p % q for q in range(2, p))]
+_ORACLE_CASES += [(1009, None), (16381, 3)]
+
+
+@pytest.mark.parametrize("p, how_many", _ORACLE_CASES, ids=[str(p) for p, _ in _ORACLE_CASES])
+def test_family_cycle_lengths_matches_orbit_walk(p, how_many):
+    """`family_cycle_types`: each generator's rows are the multiset of
+    orbit-walk lengths of its own permutation x -> pow(g, x, p), longest
+    first, and cover p-1."""
+    generators = all_generators(p)[:how_many]
+    index, length, count = family_cycle_types(p, generators)
+    assert all(a.dtype == np.int64 for a in (index, length, count))
+    assert np.all(np.diff(index) >= 0)
+    assert np.all(np.diff(length)[np.diff(index) == 0] < 0)  # longest first, each length once
+    assert np.bincount(index, weights=length * count).tolist() == [p - 1] * len(generators)
+    for i, g in enumerate(generators):
+        walk = _orbit_walk_lengths([pow(g, x, p) for x in range(1, p)])
+        lengths, counts = np.unique(walk, return_counts=True)
+        assert length[index == i].tolist() == lengths[::-1].tolist()
+        assert count[index == i].tolist() == counts[::-1].tolist()
+
+
+def test_family_cycle_types_cases_cross_blocks():
+    """The oracle's two large cases add each block's row offset: all 288
+    generators of 1009 at 16 rows a block (18 blocks), and at 16381,
+    whose p-1 cells exceed _BLOCK_CELLS, one row a block."""
+    assert _block_rows(288, 1008) == 16
+    assert _block_rows(3, 16380) == 1
 
 
 @pytest.mark.parametrize(
     "p, generators, run",
     [
-        (999983, lambda p: [smallest_generator(p).g], family_cycle_lengths),
+        (999983, lambda p: [smallest_generator(p).g], family_cycle_types),
         (4001, all_generators, lambda p, generators: family_statistics(p, generators, 20)),
     ],
     ids=["one-row-blocks", "all-generators"],

@@ -1,7 +1,9 @@
 import math
 import xml.etree.ElementTree as ET
 
-from elgamalmap.permstat import family_cycle_lengths
+import numpy as np
+
+from elgamalmap.permstat import family_cycle_types
 from elgamalmap.render import cycle_diagram_svg
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
@@ -13,8 +15,8 @@ def _circles(svg_text):
 
 
 def test_one_circle_per_cycle_small():
-    [(_, lengths)] = family_cycle_lengths(3, [2])
-    svg = cycle_diagram_svg(lengths.tolist())
+    _, length, count = family_cycle_types(3, [2])
+    svg = cycle_diagram_svg(np.repeat(length, count).tolist())
     assert len(_circles(svg)) == 1
 
 
@@ -26,9 +28,9 @@ def test_radius_ratio_matches_cycle_lengths():
 
 
 def test_circle_count_at_1009():
-    [(_, lengths)] = family_cycle_lengths(1009, [11])
-    svg = cycle_diagram_svg(lengths.tolist())
-    assert len(_circles(svg)) == len(lengths)
+    _, length, count = family_cycle_types(1009, [11])
+    svg = cycle_diagram_svg(np.repeat(length, count).tolist())
+    assert len(_circles(svg)) == count.sum()
     assert 'version="1.1"' in svg
 
 

@@ -8,6 +8,8 @@ from pathlib import Path
 
 import pytest
 
+from elgamalmap import cli
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -35,13 +37,21 @@ def test_run_experiments_quick(tmp_path):
 
 
 def test_render_gallery_smoke(tmp_path):
+    """Each gallery file holds the bytes that `render-cycles` writes for
+    its generator."""
+    gallery, single = tmp_path / "gallery", tmp_path / "single.svg"
     result = _run_script(
-        "scripts/render_gallery.py", "--prime", "61", "--count", "3", "--outdir", str(tmp_path)
+        "scripts/render_gallery.py", "--prime", "61", "--count", "3", "--outdir", str(gallery)
     )
     assert result.returncode == 0, result.stderr
-    assert sorted(path.name for path in tmp_path.iterdir()) == [
+    assert sorted(path.name for path in gallery.iterdir()) == [
         "cycles_p61_g2.svg", "cycles_p61_g6.svg", "cycles_p61_g7.svg",
     ]
+    for g in (2, 6, 7):
+        code = cli.main(["render-cycles", "--prime", "61", "--generator", str(g),
+                         "--out", str(single)])
+        assert code == 0
+        assert (gallery / f"cycles_p61_g{g}.svg").read_bytes() == single.read_bytes()
 
 
 _TRACED_CASES = [
@@ -53,6 +63,7 @@ _TRACED_CASES = [
         {"sidon.max_nontrivial_character_sum", "sidon.build_graph"},
     ),
     ("cycle-dist", ["cycle-dist", "--prime", "13"], {"permstat.family_statistics"}),
+    ("cycles", ["cycles", "--prime", "13", "--generator", "all"], {"permstat.family_cycle_types"}),
     (
         "discrepancy",
         ["discrepancy", "--prime", "13", "--boxes", "5"],
