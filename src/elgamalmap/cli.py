@@ -168,8 +168,8 @@ def _cmd_fixed_points(args) -> bool:
 
 def _family_check_doc(p: int, generators: list[int], row: dict, key: str, at: int | None) -> str:
     """The JSON document of one check of g0's graph that decides every
-    generator: `row` for each, the verdict, and, when the check fails, the
-    place `at` which it broke under `key`."""
+    generator: `row` for each, the verdict, and on failure `at`, where the
+    check broke, under `key`."""
     doc = {"p": p, "results": [{"generator": g, **row} for g in generators], "pass": at is None}
     if at is not None:
         doc[key] = at
