@@ -5,8 +5,12 @@ on stdout (or a file via --out).  Runs are deterministic given their
 flags and seed; repeated invocations are byte-identical.
 
 Exit status: 0 on success, 1 on usage or input errors, 2 when a
-mathematical check fails (Sidon property, exact character sums,
-exponential-sum bound, box-deviation bound, or signature verification).
+mathematical check fails (Sidon property, exact character sums, or
+signature verification).  `polya` and `discrepancy` report their bounds
+as `pass`, but no admitted input can fail them: every box deviation is
+at most p-1, below 50 sqrt(p) ln(p)^2 for every admitted p, and the
+exponential-sum total is below n(2 + ln n), below 5n ln n for every
+n >= 2.
 """
 
 from __future__ import annotations

@@ -1,11 +1,10 @@
-"""The exponentiation map x -> g**x mod p as an explicit permutation of
-{1, ..., p-1}, plus a minimal ElGamal signature sign/verify pair built
-from the same arithmetic.
+"""A minimal ElGamal signature sign/verify pair, and `Permutation`, an
+explicit image table.
 
-The permutation's domain is {1, ..., p-1}, so x = p-1 maps to
-g**(p-1) = 1; it reads the power table, which is indexed by exponents in
-Z_{p-1}, at x mod (p-1).  Messages and keys in the signature scheme
-are raw residues mod p-1; there is no hashing.
+Messages and keys in the signature scheme are raw residues mod p-1;
+there is no hashing.  The cycle statistics of x -> g**x read the power
+table directly (`permstat`), so nothing in the package builds a
+`Permutation`.
 """
 
 from __future__ import annotations
@@ -13,13 +12,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-import numpy as np
-
 from .numth import GroupParams
 
-__all__ = ["Permutation", "Signature", "elgamal_permutation", "sign", "verify"]
+__all__ = ["Permutation", "Signature", "sign", "verify"]
 
 
+# Kept for perfbench/child.py's DATACLASS_HOOKS: every traced child dies without it.
 @dataclass(frozen=True)
 class Permutation:
     """An explicit bijection on {1, ..., n} stored as an image table.
@@ -36,13 +34,6 @@ class Permutation:
             raise ValueError(f"image table must have length n = {self.n}")
         if sorted(self.image) != list(range(1, self.n + 1)):
             raise ValueError("image is not a bijection on {1..n}")
-
-
-def elgamal_permutation(params: GroupParams) -> Permutation:
-    """The permutation x -> g**x mod p of {1, ..., p-1}."""
-    p, d = params.p, params.d
-    image = params.table[np.arange(1, p) % d]
-    return Permutation(d, tuple(image.tolist()))
 
 
 @dataclass(frozen=True)

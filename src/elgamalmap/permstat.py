@@ -10,8 +10,8 @@ each row's cycles to counts, so none depends on their order in a row.
 The baseline facts: a uniform permutation of n elements has s(n,c)/n!
 probability of exactly c cycles (unsigned Stirling numbers of the first
 kind), H_n = 1 + 1/2 + ... + 1/n cycles on average, and 1/k cycles of
-length k on average.  A seeded sampler of uniform permutations is
-included for calibration runs.
+length k on average.  `random_cycle_counts` samples seeded uniform
+permutations for calibration runs.
 """
 
 from __future__ import annotations
@@ -21,13 +21,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .elgamal import Permutation
 from .numth import _prime_divisors, _smallest_generator, smallest_generator
 
 __all__ = [
     "FamilyStatistics",
     "stirling_cycle_distribution",
-    "random_permutation",
     "random_cycle_counts",
     "family_cycle_types",
     "family_statistics",
@@ -116,18 +114,6 @@ def stirling_cycle_distribution(n: int) -> np.ndarray:
     return probs
 
 
-def random_permutation(n: int, seed: int) -> Permutation:
-    """A uniform permutation of {1..n} from an unbiased seeded shuffle.
-
-    The generator is numpy's PCG64 (`numpy.random.default_rng`); a given
-    seed always reproduces the same permutation for a fixed numpy
-    version.  `random_cycle_counts` shuffles the same way.
-    """
-    image = np.arange(1, n + 1)  # empty for n < 1, which Permutation rejects
-    np.random.default_rng(seed).shuffle(image)
-    return Permutation(n, tuple(image.tolist()))
-
-
 # Cells (rows x degree) per block of the cycle kernel: the most that keeps
 # each int64 work array below glibc's 128 KiB default mmap threshold, so it
 # comes from the heap whatever the import left the threshold at (mapping
@@ -144,8 +130,13 @@ def _block_rows(m: int, n: int) -> int:
 
 
 def random_cycle_counts(n: int, samples: int, seed: int) -> list[int]:
-    """Cycle counts of the uniform permutations random_permutation(n, seed + i)
-    for i = 0..samples-1, decomposed a block of samples at a time."""
+    """Cycle counts of `samples` uniform permutations of {1..n}, decomposed
+    a block of samples at a time.
+
+    Sample i is an unbiased shuffle of the identity by numpy's PCG64
+    (`numpy.random.default_rng(seed + i)`), so a given seed always
+    reproduces the same counts for a fixed numpy version.
+    """
     if n < 1:
         raise ValueError(f"degree must be >= 1, got {n}")
     identity = np.arange(1, n + 1)

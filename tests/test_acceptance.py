@@ -18,7 +18,6 @@ from elgamalmap.permstat import (
     family_statistics,
     fixed_point_sweep,
     random_cycle_counts,
-    random_permutation,
     stirling_cycle_distribution,
 )
 from elgamalmap.sidon import (
@@ -30,6 +29,7 @@ from elgamalmap.sidon import (
 )
 
 from box_oracle import count_in_box, naive_count
+from perm_oracle import random_permutation
 from sidon_oracle import dense_difference_counts
 
 

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from elgamalmap.discrepancy import count_boxes, sweep, theorem_bound
-from elgamalmap.numth import all_generators, smallest_generator
+from elgamalmap.numth import all_generators, is_prime, smallest_generator
 from elgamalmap.sidon import SidonGraph, build_graph
 
 from box_oracle import count_in_box, naive_count
@@ -71,6 +71,16 @@ def test_theorem_bound_examples():
     assert theorem_bound(5) == pytest.approx(289.60327012022583, rel=1e-12)
     with pytest.raises(ValueError):
         theorem_bound(2)
+
+
+def test_theorem_bound_exceeds_every_deviation_discrepancy_admits():
+    """A box holds at most p-1 points and expects at most p-1, so no
+    deviation exceeds p-1; over every odd prime with p*(p-1) <= 2**29,
+    the discrepancy command's limit, the bound is at least 33 times that,
+    so `discrepancy` cannot exit 2."""
+    primes = [p for p in range(3, 23171) if is_prime(p)]
+    assert 23170 * 23169 <= 2**29 < 23171 * 23170
+    assert min(theorem_bound(p) / (p - 1) for p in primes) > 33
 
 
 @pytest.mark.parametrize("p", [5, 101, 1009])

@@ -7,7 +7,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from elgamalmap.elgamal import elgamal_permutation
 from elgamalmap.numth import GroupParams, all_generators, smallest_generator
 from elgamalmap.permstat import (
     _block_rows,
@@ -16,9 +15,10 @@ from elgamalmap.permstat import (
     family_statistics,
     fixed_point_sweep,
     random_cycle_counts,
-    random_permutation,
     stirling_cycle_distribution,
 )
+
+from perm_oracle import elgamal_permutation, random_permutation
 
 
 def _expected_cycles(n: int) -> float:
@@ -118,6 +118,15 @@ def test_random_cycle_counts_matches_orbit_walk(n, samples, seed):
         len(_orbit_walk_lengths(random_permutation(n, seed + i).image)) for i in range(samples)
     ]
     assert random_cycle_counts(n, samples, seed) == expected
+
+
+def test_random_cycle_counts_is_seeded_per_sample():
+    """The same arguments give the same counts, and sample i is seeded
+    with seed + i, across the 3 kernel blocks of 400 samples at n = 100."""
+    counts = random_cycle_counts(100, 400, 7)
+    assert len(set(counts)) > 1
+    assert random_cycle_counts(100, 400, 7) == counts
+    assert random_cycle_counts(100, 399, 8) == counts[1:]
 
 
 def test_stirling_examples():

@@ -1,9 +1,11 @@
+import ast
 import importlib
 import json
 import os
 import platform
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -145,8 +147,10 @@ def test_cycle_kernel_reuses_its_heap(tmp_path, argv, malloc_env):
 # metrics read 0 until the benchmark's hooks are retargeted (ROADMAP item 1).
 DEAD_LAYERS = {
     "discrepancy.count_in_box",
+    "elgamal.elgamal_permutation",
     "numth.factorize",
     "permstat.cycle_decompose",
+    "permstat.random_permutation",
     "sidon.difference_set_size",
 }
 
@@ -172,3 +176,37 @@ def test_benchmark_layers_resolve_to_hooked_names():
             assert layer in {"numth.GroupParams", "elgamal.Permutation"}, layer
             assert "__post_init__" in vars(obj), layer
     assert dead == DEAD_LAYERS
+
+
+def _called_names(node):
+    """Names of every function called inside `node`: `f` for f(...) and
+    for x.f(...)."""
+    return [
+        call.func.id if isinstance(call.func, ast.Name) else getattr(call.func, "attr", None)
+        for call in ast.walk(node)
+        if isinstance(call, ast.Call)
+    ]
+
+
+def test_every_public_function_is_called_by_the_program():
+    """Each function a package module lists in its __all__ is called
+    somewhere in the package or its scripts, outside its own body: one
+    that only the tests call belongs with the tests' oracles.  Classes
+    and constants are exempt."""
+    paths = [*(ROOT / "src" / "elgamalmap").glob("*.py"), *(ROOT / "scripts").glob("*.py")]
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in paths}
+    calls = Counter(name for tree in trees.values() for name in _called_names(tree))
+    uncalled = []
+    for stem, tree in sorted(trees.items()):
+        exported = {
+            name
+            for node in tree.body
+            if isinstance(node, ast.Assign)
+            and any(getattr(target, "id", None) == "__all__" for target in node.targets)
+            for name in ast.literal_eval(node.value)
+        }
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef) and node.name in exported:
+                if calls[node.name] == _called_names(node).count(node.name):
+                    uncalled.append(f"{stem}.{node.name}")
+    assert uncalled == []

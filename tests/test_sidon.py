@@ -470,6 +470,25 @@ def test_shift_invariance(n, data):
     assert abs(_matrix_total(n, N, h) - incomplete_exponential_sum_total(n, N)) < 1e-9
 
 
+def test_polya_bound_exceeds_n_times_2_plus_ln_n():
+    """n(2 + ln n) < 5n ln n iff ln n > 1/2, so for every n >= 2; over
+    every n that `polya` admits, `polya_vinogradov_bound` keeps that
+    margin."""
+    n = np.arange(2, 10**6 + 1)
+    bound = np.fromiter(map(polya_vinogradov_bound, n.tolist()), dtype=np.float64, count=len(n))
+    assert np.all(n * (2 + np.log(n)) < bound)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=2, max_value=10**6), st.data())
+def test_incomplete_sum_total_is_below_n_times_2_plus_ln_n(n, data):
+    """The a = 0 term is N < n and the term at a is at most
+    1/sin(pi*min(a, n-a)/n) <= n/(2*min(a, n-a)), which sum to below
+    n(1 + ln n); with the test above, `polya` cannot exit 2."""
+    N = data.draw(st.integers(min_value=1, max_value=n - 1))
+    assert incomplete_exponential_sum_total(n, N) <= n * (2 + math.log(n))
+
+
 @pytest.mark.parametrize("n", [2, 3, 10, 25, 50])
 def test_polya_bound_small(n):
     bound = polya_vinogradov_bound(n)
