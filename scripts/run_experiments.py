@@ -23,8 +23,8 @@ def _run(outfile: Path, argv: list[str]) -> int:
     with contextlib.redirect_stdout(buffer):
         code = cli_main(argv)
     text = buffer.getvalue()
-    if text:
-        outfile.write_text(text, encoding="utf-8")
+    if text:  # empty when the CLI wrote outfile itself
+        outfile.write_text(text, encoding="utf-8", newline="")
     print(f"exit {code}  {outfile.name:34s}  elgamalmap {' '.join(argv)}")
     return code
 
@@ -43,30 +43,23 @@ def main() -> int:
 
     out = args.outdir
     jobs: list[tuple[Path, list[str]]] = [
-        (out / f"cycles_{p}.csv",
-         ["cycles", "--prime", p, "--generator", "all", "--out", str(out / f"cycles_{p}.csv")]),
-        (out / f"cycle_dist_{p}.csv",
-         ["cycle-dist", "--prime", p, "--out", str(out / f"cycle_dist_{p}.csv")]),
+        (out / f"cycles_{p}.csv", ["cycles", "--prime", p, "--generator", "all"]),
+        (out / f"cycle_dist_{p}.csv", ["cycle-dist", "--prime", p]),
         (out / f"random_baseline_{p}.csv",
-         ["random-baseline", "--degree", p, "--samples", samples, "--seed", "0",
-          "--out", str(out / f"random_baseline_{p}.csv")]),
-        (out / f"kcycles_{p}.csv",
-         ["kcycles", "--prime", p, "--k-max", "20", "--out", str(out / f"kcycles_{p}.csv")]),
-        (out / f"fixed_points_{max_prime}.csv",
-         ["fixed-points", "--max-prime", max_prime, "--out", str(out / f"fixed_points_{max_prime}.csv")]),
-        (out / f"sidon_{p}.json",
-         ["sidon", "--prime", p, "--generator", "smallest"]),
-        (out / "char_sums_61.json",
-         ["char-sums", "--prime", "61", "--generator", "all"]),
-        (out / "polya_300.json",
-         ["polya", "--n", "300", "--window", "150"]),
+         ["random-baseline", "--degree", p, "--samples", samples, "--seed", "0"]),
+        (out / f"kcycles_{p}.csv", ["kcycles", "--prime", p, "--k-max", "20"]),
+        (out / f"fixed_points_{max_prime}.csv", ["fixed-points", "--max-prime", max_prime]),
+        (out / f"sidon_{p}.json", ["sidon", "--prime", p, "--generator", "smallest"]),
+        (out / "char_sums_61.json", ["char-sums", "--prime", "61", "--generator", "all"]),
+        (out / "polya_300.json", ["polya", "--n", "300", "--window", "150"]),
+        # --out names the CLI's second file: the per-box records
         (out / f"discrepancy_{p}.json",
          ["discrepancy", "--prime", p, "--boxes", boxes, "--seed", "42",
           "--out", str(out / f"discrepancy_{p}_records.csv")]),
+        # render-cycles writes its SVG only to --out
         (out / f"cycles_{p}_smallest.svg",
          ["render-cycles", "--prime", p, "--out", str(out / f"cycles_{p}_smallest.svg")]),
-        (out / f"sign_demo_{p}.json",
-         ["sign-demo", "--prime", p, "--seed", "0"]),
+        (out / f"sign_demo_{p}.json", ["sign-demo", "--prime", p, "--seed", "0"]),
     ]
 
     worst = 0

@@ -143,8 +143,8 @@ def _cycle_count_table(n: int, counts: Sequence[int]) -> tuple[np.ndarray, ...]:
 
 def _cmd_cycle_dist(args) -> bool:
     p = args.prime
-    stats = family_statistics(p, all_generators(p), k_max=1)
-    arrays = _cycle_count_table(p - 1, stats.cycle_counts)
+    cycle_counts, _ = family_statistics(p, all_generators(p), k_max=1)
+    arrays = _cycle_count_table(p - 1, cycle_counts)
     _emit(_table(["c", "theory_percent", "elgamal_percent"], arrays, args.format), args.out)
     return True
 
@@ -157,9 +157,9 @@ def _cmd_random_baseline(args) -> bool:
 
 
 def _cmd_kcycles(args) -> bool:
-    stats = family_statistics(args.prime, all_generators(args.prime), k_max=args.k_max)
+    _, avg_k_cycles = family_statistics(args.prime, all_generators(args.prime), k_max=args.k_max)
     ks = np.arange(1, args.k_max + 1)
-    arrays = (ks, 1.0 / ks, np.array(stats.avg_k_cycles))  # a uniform permutation has 1/k k-cycles
+    arrays = (ks, 1.0 / ks, avg_k_cycles)  # a uniform permutation has 1/k k-cycles
     _emit(_table(["k", "theory", "empirical_average"], arrays, args.format), args.out)
     return True
 

@@ -84,6 +84,18 @@ def _prime_divisors(n: int) -> tuple[int, ...]:
     return tuple(divisors)
 
 
+def _exponent_gcds(d: int) -> np.ndarray:
+    """The int64 table of gcd(e, d) for e = 0..d-1, d >= 1, built from the
+    prime powers dividing d, one strided product per power."""
+    gcds = np.ones(d, dtype=np.int64)
+    for q in _prime_divisors(d):
+        qk = q
+        while d % qk == 0:
+            gcds[::qk] *= q
+            qk *= q
+    return gcds
+
+
 @dataclass(frozen=True)
 class GroupParams:
     """An odd prime p with a designated generator g of the multiplicative
@@ -173,7 +185,7 @@ def all_generators(p: int) -> list[int]:
     {g0**j mod p : gcd(j, p-1) = 1}.
     """
     g0 = smallest_generator(p)
-    return sorted(g0.table[np.gcd(np.arange(g0.d), g0.d) == 1].tolist())
+    return sorted(g0.table[_exponent_gcds(g0.d) == 1].tolist())
 
 
 def generator_count(p: int) -> int:

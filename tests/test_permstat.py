@@ -218,23 +218,23 @@ def test_monte_carlo_k_cycle_averages():
 
 
 def test_family_statistics_p5():
-    stats = family_statistics(5, [2, 3], k_max=4)
+    cycle_counts, avg_k_cycles = family_statistics(5, [2, 3], k_max=4)
     # g=2 has cycles (3,1); g=3 is the 4-cycle (1 3 2 4)
-    assert stats.cycle_counts == (2, 1)
-    assert stats.avg_k_cycles[0] == pytest.approx(0.5)
-    assert sum(stats.cycle_counts) / len(stats.cycle_counts) == 1.5
+    assert np.array_equal(cycle_counts, [2, 1])
+    assert avg_k_cycles[0] == pytest.approx(0.5)
+    assert cycle_counts.sum() / len(cycle_counts) == 1.5
 
 
 def test_family_statistics_p3():
-    stats = family_statistics(3, [2], k_max=2)
-    assert stats.cycle_counts == (1,)
-    assert stats.avg_k_cycles == (0.0, 1.0)
+    cycle_counts, avg_k_cycles = family_statistics(3, [2], k_max=2)
+    assert np.array_equal(cycle_counts, [1])
+    assert np.array_equal(avg_k_cycles, [0.0, 1.0])
 
 
 def test_family_statistics_is_deterministic():
     a = family_statistics(13, all_generators(13), k_max=6)
     b = family_statistics(13, all_generators(13), k_max=6)
-    assert a == b
+    assert all(np.array_equal(x, y) for x, y in zip(a, b))
 
 
 def test_family_statistics_rejects_bad_input():
@@ -269,6 +269,21 @@ def test_family_cycle_lengths_matches_orbit_walk(p, how_many):
         lengths, counts = np.unique(walk, return_counts=True)
         assert length[index == i].tolist() == lengths[::-1].tolist()
         assert count[index == i].tolist() == counts[::-1].tolist()
+
+
+@pytest.mark.parametrize("p, how_many", _ORACLE_CASES, ids=[str(p) for p, _ in _ORACLE_CASES])
+def test_family_statistics_matches_cycle_types(p, how_many):
+    """`family_statistics` reduces the oracle-tested `family_cycle_types`:
+    each generator's cycle count, in the order given, and the mean count
+    of each length k; with k_max = p + 1, the rows past p-1 read 0."""
+    generators = all_generators(p)[:how_many]
+    index, length, count = family_cycle_types(p, generators)
+    cycle_counts, avg_k_cycles = family_statistics(p, generators, k_max=p + 1)
+    assert (cycle_counts.dtype, avg_k_cycles.dtype) == (np.int64, np.float64)
+    assert np.array_equal(cycle_counts, np.bincount(index, weights=count))
+    k_totals = np.bincount(length, weights=count, minlength=p + 2)
+    assert np.array_equal(avg_k_cycles, k_totals[1:] / len(generators))
+    assert not avg_k_cycles[p - 1 :].any()
 
 
 def test_family_cycle_types_cases_cross_blocks():
@@ -334,6 +349,6 @@ def test_fixed_point_sweep_small_values():
 def test_fixed_point_sweep_agrees_with_decomposition(p):
     """Dual route: the vectorized sweep must reproduce the average number
     of 1-cycles over explicitly decomposed permutations."""
-    stats = family_statistics(p, all_generators(p), k_max=1)
+    _, avg_k_cycles = family_statistics(p, all_generators(p), k_max=1)
     sweep_avg = dict(fixed_point_sweep(p))[p]
-    assert sweep_avg == pytest.approx(stats.avg_k_cycles[0], abs=1e-12)
+    assert sweep_avg == pytest.approx(avg_k_cycles[0], abs=1e-12)
