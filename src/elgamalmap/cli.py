@@ -227,16 +227,16 @@ def _cmd_discrepancy(args) -> bool:
     p = args.prime
     [g] = _resolve_generators(p, args.generator, single=True)
     graph = build_graph(p, g)
-    report = sweep(graph, args.boxes, args.seed)
+    boxes, hits, expected, deviation, ratio, large_box = sweep(graph, args.boxes, args.seed)
+    max_deviation = float(deviation.max())
     bound = theorem_bound(p)
-    ok = report.max_deviation <= bound
+    ok = max_deviation <= bound
     if args.out is not None:
-        columns = (*report.boxes.T, report.hits, report.expected, report.deviation,
-                   report.ratio, report.large_box.astype(np.int64))
+        columns = (*boxes.T, hits, expected, deviation, ratio, large_box.astype(np.int64))
         header = ["h", "N", "k", "M", "hits", "expected", "deviation", "ratio", "large_box"]
         _emit(_table(header, columns, "csv"), args.out)
-    doc = {"p": p, "generator": g, "seed": args.seed, "num_boxes": len(report.boxes),
-           "max_deviation": report.max_deviation, "bound": bound, "max_ratio": report.max_ratio,
+    doc = {"p": p, "generator": g, "seed": args.seed, "num_boxes": len(boxes),
+           "max_deviation": max_deviation, "bound": bound, "max_ratio": float(ratio.max()),
            "pass": ok}
     _emit(_json(doc), None)
     return ok
@@ -260,13 +260,10 @@ def _cmd_sign_demo(args) -> bool:
         session_k = int(rng.integers(1, d))
     message_m = int(rng.integers(0, d))
     public_A = pow(params.g, secret_a, p)
-    signature = sign(params, secret_a, session_k, message_m)
+    K, b = sign(params, secret_a, session_k, message_m)
     checked_m = (message_m + 1) % d if args.tamper else message_m
-    verified = verify(params, public_A, checked_m, signature)
-    _emit(
-        _json({"A": public_A, "K": signature.K, "b": signature.b, "verified": verified}),
-        args.out,
-    )
+    verified = verify(params, public_A, checked_m, (K, b))
+    _emit(_json({"A": public_A, "K": K, "b": b, "verified": verified}), args.out)
     return verified
 
 

@@ -9,13 +9,12 @@ cyclic integer windows and may wrap around either modulus.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .sidon import SidonGraph
 
-__all__ = ["DiscrepancyReport", "count_boxes", "theorem_bound", "sweep"]
+__all__ = ["count_boxes", "theorem_bound", "sweep"]
 
 
 def count_boxes(graph: SidonGraph, boxes: np.ndarray) -> np.ndarray:
@@ -69,40 +68,29 @@ def theorem_bound(p: int) -> float:
     return 50.0 * math.sqrt(p) * math.log(p) ** 2
 
 
-@dataclass(frozen=True, eq=False)
-class DiscrepancyReport:
-    """All box measurements of one sweep as columns, one entry per box in
-    generation order, plus their maxima.
-
-    `boxes` is an (n, 4) int64 array of rows (h, N, k, M), as counted by
-    `count_boxes`; the other columns are 1-D arrays of length n.
-    `expected` is N*M / p and `deviation` is |hits - expected|.  `ratio`
-    is deviation / (sqrt(p) * ln(p)**2), so the bound holds iff
-    ratio <= 50.  `large_box` flags boxes whose cardinality N*M exceeds
-    p**1.5 * ln(p)**2, the size regime where the relative deviation is
-    expected to shrink.
-    """
-
-    boxes: np.ndarray
-    hits: np.ndarray
-    expected: np.ndarray
-    deviation: np.ndarray
-    ratio: np.ndarray
-    large_box: np.ndarray
-    max_deviation: float
-    max_ratio: float
-
-
-def sweep(graph: SidonGraph, num_random_boxes: int, seed: int) -> DiscrepancyReport:
+def sweep(graph: SidonGraph, num_random_boxes: int, seed: int) -> tuple[np.ndarray, ...]:
     """Measure a deterministic family of boxes: the full box, single-row
-    and single-column boxes (all of them for p <= 101, else a seeded
-    sample of p-1 of each kind), and `num_random_boxes` boxes with
-    uniformly drawn position and size.
+    and single-column boxes, and `num_random_boxes` boxes with uniformly
+    drawn position and size.  For p <= 101 the single boxes are every row
+    and column; past that, two seeded draws of p-1 distinct values give
+    every exponent column (out of p-1) and every value row but one that
+    the seed picks (out of p).  Both draws stay: they advance the stream
+    the random boxes come from.
 
     Reporting only; nothing is asserted.  The box order is the
     generation order and depends only on the seed.  The random boxes
     come from one draw whose bounds (h, N, k, M) broadcast over the
     boxes, which yields the stream of four scalar draws per box.
+
+    Returns:
+        (boxes, hits, expected, deviation, ratio, large_box): one entry per
+        box in generation order.  boxes is an (n, 4) int64 array of rows
+        (h, N, k, M), as counted by `count_boxes`; the others are 1-D.
+        expected is N*M / p and deviation is |hits - expected|.  ratio is
+        deviation / (sqrt(p) * ln(p)**2), so the bound holds iff
+        ratio <= 50.  large_box flags boxes whose cardinality N*M exceeds
+        p**1.5 * ln(p)**2, the size regime where the relative deviation is
+        expected to shrink.
     """
     if num_random_boxes < 0:
         raise ValueError("num_random_boxes must be >= 0")
@@ -129,8 +117,4 @@ def sweep(graph: SidonGraph, num_random_boxes: int, seed: int) -> DiscrepancyRep
     expected = cardinality / p
     deviation = np.abs(hits - expected)
     ratio = deviation / (math.sqrt(p) * math.log(p) ** 2)
-    return DiscrepancyReport(
-        boxes=boxes, hits=hits, expected=expected, deviation=deviation, ratio=ratio,
-        large_box=cardinality > p**1.5 * math.log(p) ** 2,
-        max_deviation=float(deviation.max()), max_ratio=float(ratio.max()),
-    )
+    return boxes, hits, expected, deviation, ratio, cardinality > p**1.5 * math.log(p) ** 2

@@ -149,12 +149,12 @@ def test_criterion_06_box_deviation_bound():
         ]
         for p, g in cases:
             graph = build_graph(p, g)
-            report = sweep(graph, num_random_boxes=10_000, seed=42)
+            boxes, _, _, deviation, ratio, _ = sweep(graph, num_random_boxes=10_000, seed=42)
             bound = theorem_bound(p)
-            assert report.max_deviation <= bound, p
-            assert report.max_ratio <= 50.0, p
-            full_width = report.boxes[:, 1] == p  # full-width boxes are exact
-            assert (report.deviation[full_width] == 0.0).all(), p
+            assert deviation.max() <= bound, p
+            assert ratio.max() <= 50.0, p
+            full_width = boxes[:, 1] == p  # full-width boxes are exact
+            assert (deviation[full_width] == 0.0).all(), p
             rng = np.random.default_rng(p)
             boxes = [
                 (

@@ -263,9 +263,8 @@ def test_discrepancy_csv_is_byte_identical_across_blocks(capsys, tmp_path):
         return f"{value:.6f}" if isinstance(value, float) else str(value)
 
     graph = build_graph(p, smallest_generator(p).g)
-    report = sweep(graph, boxes, seed)
-    columns = (*report.boxes.T, report.hits, report.expected, report.deviation,
-               report.ratio, report.large_box.astype(int))
+    rows, hits, expected, deviation, ratio, large_box = sweep(graph, boxes, seed)
+    columns = (*rows.T, hits, expected, deviation, ratio, large_box.astype(int))
     lines = ["h,N,k,M,hits,expected,deviation,ratio,large_box"]
     lines.extend(",".join(fmt(v) for v in row) for row in zip(*(c.tolist() for c in columns)))
     assert len(lines) == 1 + 2 * rows_per_block + 1

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from elgamalmap.cli import main
 from elgamalmap.discrepancy import count_boxes, sweep, theorem_bound
 from elgamalmap.numth import all_generators, is_prime, smallest_generator
 from elgamalmap.sidon import SidonGraph, build_graph
@@ -220,25 +222,25 @@ def test_full_width_boxes_have_zero_deviation(wrap_k):
 
 
 def test_sweep_p5_structured_only():
-    report = sweep(build_graph(5, 2), num_random_boxes=0, seed=0)
+    boxes, _, _, deviation, ratio, _ = sweep(build_graph(5, 2), num_random_boxes=0, seed=0)
     # full box + 5 single-row + 4 single-column boxes
-    assert report.boxes.shape == (10, 4) and report.boxes.dtype == np.int64
-    assert report.boxes[0].tolist() == [0, 5, 0, 4]
-    assert report.deviation[0] == 0.0  # the full box, exactly
-    assert report.max_deviation < 1.6  # worst structured box on 4 points
-    assert report.max_ratio < 1.0  # far below the bound's factor 50
-    assert report.max_deviation <= theorem_bound(5)
+    assert boxes.shape == (10, 4) and boxes.dtype == np.int64
+    assert boxes[0].tolist() == [0, 5, 0, 4]
+    assert deviation[0] == 0.0  # the full box, exactly
+    assert deviation.max() < 1.6  # worst structured box on 4 points
+    assert ratio.max() < 1.0  # far below the bound's factor 50
+    assert deviation.max() <= theorem_bound(5)
 
 
 def test_sweep_is_deterministic():
     graph = build_graph(101, 2)
     a = sweep(graph, num_random_boxes=50, seed=11)
     b = sweep(graph, num_random_boxes=50, seed=11)
-    for name in _COLUMNS:
-        assert np.array_equal(getattr(a, name), getattr(b, name)), name
-    assert (a.max_deviation, a.max_ratio) == (b.max_deviation, b.max_ratio)
+    assert len(a) == len(b) == len(_COLUMNS)
+    for name, column_a, column_b in zip(_COLUMNS, a, b):
+        assert np.array_equal(column_a, column_b), name
     c = sweep(graph, num_random_boxes=50, seed=12)
-    assert not np.array_equal(c.boxes, a.boxes)
+    assert not np.array_equal(c[0], a[0])
 
 
 @pytest.mark.parametrize("num_random_boxes", [0, 1, 50])
@@ -249,35 +251,60 @@ def test_sweep_matches_scalar_oracle(p, seed, num_random_boxes):
     in the same order, counts and float columns.  At p = 17 and 257 the
     bounds p-1 on k and M are powers of two."""
     graph = build_graph(p, smallest_generator(p).g)
-    report = sweep(graph, num_random_boxes, seed)
+    columns = sweep(graph, num_random_boxes, seed)
     oracle = _scalar_sweep(graph, num_random_boxes, seed)
-    for name, want in zip(_COLUMNS, oracle):
-        assert getattr(report, name).tolist() == want, name
-    assert report.max_deviation == max(oracle[3])
-    assert report.max_ratio == max(oracle[4])
+    assert len(columns) == len(_COLUMNS)
+    for name, column, want in zip(_COLUMNS, columns, oracle):
+        assert column.tolist() == want, name
+    _, _, _, deviation, ratio, _ = columns
+    assert deviation.max() == max(oracle[3])
+    assert ratio.max() == max(oracle[4])
 
 
-def test_sweep_maxima_match_records():
-    report = sweep(build_graph(101, 2), num_random_boxes=25, seed=4)
-    assert report.max_deviation == report.deviation.max()
-    assert report.max_ratio == report.ratio.max()
-    assert (report.ratio >= 0).all()
+def test_sweep_maxima_match_records(capsys):
+    """`discrepancy` reports the maxima of the sweep's deviation and ratio
+    columns."""
+    code = main(["discrepancy", "--prime", "101", "--generator", "2", "--boxes", "25",
+                 "--seed", "4"])
+    doc = json.loads(capsys.readouterr().out)
+    assert code == 0
+    _, _, _, deviation, ratio, _ = sweep(build_graph(101, 2), num_random_boxes=25, seed=4)
+    assert doc["max_deviation"] == deviation.max()
+    assert doc["max_ratio"] == ratio.max()
+    assert (ratio >= 0).all()
+
+
+@pytest.mark.parametrize("p", [103, 1009, 10007])
+def test_sweep_structured_boxes_past_101(p):
+    """Past p = 101 the column boxes are exactly the p-1 exponents, each
+    holding one point, and the row boxes are p-1 distinct rows, each
+    holding one point except h = p-1 (the value 0 mod p), which holds
+    none."""
+    d = p - 1
+    boxes, hits, _, _, _, _ = sweep(build_graph(p, smallest_generator(p).g), 0, seed=7)
+    rows, cols = boxes[1 : 1 + d], boxes[1 + d :]
+    assert len(cols) == d and (cols[:, [0, 1, 3]] == [0, p, 1]).all()
+    assert cols[:, 2].tolist() == list(range(d))
+    assert (hits[1 + d :] == 1).all()
+    assert (rows[:, 1:] == [1, 0, d]).all()
+    assert len(set(rows[:, 0].tolist())) == d and 0 <= rows[:, 0].min() <= rows[:, 0].max() < p
+    assert hits[1 : 1 + d].tolist() == [int(h != p - 1) for h in rows[:, 0].tolist()]
 
 
 def test_large_box_flag():
     p = 101
     graph = build_graph(p, 2)
-    report = sweep(graph, num_random_boxes=0, seed=0)
+    boxes, _, _, _, _, large_box = sweep(graph, num_random_boxes=0, seed=0)
     threshold = p**1.5 * math.log(p) ** 2
-    cardinality = report.boxes[:, 1] * report.boxes[:, 3]
-    assert report.large_box.tolist() == [int(c) > threshold for c in cardinality]
+    cardinality = boxes[:, 1] * boxes[:, 3]
+    assert large_box.tolist() == [int(c) > threshold for c in cardinality]
     # at p=101 even the full box (cardinality p*(p-1)) stays below p**1.5 ln(p)**2
-    assert not report.large_box[0]
+    assert not large_box[0]
 
 
 def test_ratio_scaling():
     p = 101
-    report = sweep(build_graph(p, 2), num_random_boxes=10, seed=9)
+    _, _, _, deviation, ratio, _ = sweep(build_graph(p, 2), num_random_boxes=10, seed=9)
     scale = math.sqrt(p) * math.log(p) ** 2
-    for ratio, deviation in zip(report.ratio.tolist(), report.deviation.tolist()):
-        assert ratio == pytest.approx(deviation / scale, rel=1e-12)
+    for r, dev in zip(ratio.tolist(), deviation.tolist()):
+        assert r == pytest.approx(dev / scale, rel=1e-12)

@@ -57,7 +57,11 @@ def test_render_gallery_smoke(tmp_path):
 
 
 _TRACED_CASES = [
-    ("sign-demo", ["sign-demo", "--prime", "5"], {"numth.GroupParams"}),
+    (
+        "sign-demo",
+        ["sign-demo", "--prime", "5"],
+        {"numth.GroupParams", "elgamal.sign", "elgamal.verify"},
+    ),
     ("sidon", ["sidon", "--prime", "5", "--generator", "all"], {"sidon.verify_sidon"}),
     (
         "char-sums",
