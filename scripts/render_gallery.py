@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 
-from elgamalmap.numth import all_generators
+from elgamalmap.numth import MAX_TABLE_MODULUS, all_generators, is_prime
 from elgamalmap.permstat import family_cycle_types
 from elgamalmap.render import cycle_diagram_svg
 
@@ -20,6 +20,12 @@ def main() -> None:
     parser.add_argument("--count", type=int, default=12, help="how many generators, smallest first")
     parser.add_argument("--outdir", type=Path, default=Path("out/gallery"))
     args = parser.parse_args()
+    if args.count < 1:
+        parser.error(f"argument --count: must be >= 1, got {args.count}")
+    if not (3 <= args.prime <= MAX_TABLE_MODULUS and is_prime(args.prime)):
+        parser.error(
+            f"argument --prime: must be an odd prime up to {MAX_TABLE_MODULUS}, got {args.prime}"
+        )
 
     args.outdir.mkdir(parents=True, exist_ok=True)
     generators = all_generators(args.prime)[: args.count]

@@ -11,17 +11,20 @@ as `pass`, but no admitted input can fail them: every box deviation is
 at most p-1, below 50 sqrt(p) ln(p)^2 for every admitted p, and the
 exponential-sum total is below n(2 + ln n), below 5n ln n for every
 n >= 2.
+
+`main` checks every input before it opens --out: --prime, then the
+declared costs, then --generator and polya's window.  Only then does it
+create or truncate --out, so an input error never touches the file, and
+a run that exits 2 still writes its document.
 """
 
 from __future__ import annotations
 
 import argparse
-import errno
 import json
-import os
-import stat
 import sys
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterator, Sequence
+from contextlib import nullcontext
 from itertools import chain
 from math import gcd
 
@@ -73,7 +76,7 @@ def _require_odd_prime(n: int) -> None:
         )
 
 
-def _resolve_generators(p: int, selection: str, single: bool = False) -> list[int]:
+def _resolve_generators(p: int, selection: str, single: bool) -> list[int]:
     if selection == "smallest":
         return [smallest_generator(p).g]
     if selection == "all":
@@ -112,25 +115,15 @@ def _json(obj) -> str:
     return json.dumps(obj, indent=2) + "\n"
 
 
-def _emit(text: str | Iterable[str], out_path: str | None) -> None:
-    chunks = [text] if isinstance(text, str) else text
-    if out_path is not None:
-        with open(out_path, "w", encoding="utf-8", newline="") as fh:
-            fh.writelines(chunks)
-    else:
-        sys.stdout.writelines(chunks)
-
-
 # ---------------------------------------------------------------------------
-# subcommand handlers; each returns True unless a mathematical check failed
+# subcommand handlers; each writes to `out`, --out or stdout, and returns
+# True unless a mathematical check failed
 
 
-def _cmd_cycles(args) -> bool:
-    p = args.prime
-    generators = _resolve_generators(p, args.generator)
-    index, length, count = family_cycle_types(p, generators)
-    arrays = (np.array(generators)[index], length, count)
-    _emit(_table(["generator", "cycle_length", "multiplicity"], arrays, args.format), args.out)
+def _cmd_cycles(args, out) -> bool:
+    index, length, count = family_cycle_types(args.prime, args.generators)
+    arrays = (np.array(args.generators)[index], length, count)
+    out.writelines(_table(["generator", "cycle_length", "multiplicity"], arrays, args.format))
     return True
 
 
@@ -141,32 +134,32 @@ def _cycle_count_table(n: int, counts: Sequence[int]) -> tuple[np.ndarray, ...]:
     return c, 100.0 * stirling_cycle_distribution(n)[c], 100.0 * hist[c] / len(counts)
 
 
-def _cmd_cycle_dist(args) -> bool:
+def _cmd_cycle_dist(args, out) -> bool:
     p = args.prime
     cycle_counts, _ = family_statistics(p, all_generators(p), k_max=1)
     arrays = _cycle_count_table(p - 1, cycle_counts)
-    _emit(_table(["c", "theory_percent", "elgamal_percent"], arrays, args.format), args.out)
+    out.writelines(_table(["c", "theory_percent", "elgamal_percent"], arrays, args.format))
     return True
 
 
-def _cmd_random_baseline(args) -> bool:
+def _cmd_random_baseline(args, out) -> bool:
     counts = random_cycle_counts(args.degree, args.samples, args.seed)
     arrays = _cycle_count_table(args.degree, counts)
-    _emit(_table(["c", "theory_percent", "random_percent"], arrays, args.format), args.out)
+    out.writelines(_table(["c", "theory_percent", "random_percent"], arrays, args.format))
     return True
 
 
-def _cmd_kcycles(args) -> bool:
+def _cmd_kcycles(args, out) -> bool:
     _, avg_k_cycles = family_statistics(args.prime, all_generators(args.prime), k_max=args.k_max)
     ks = np.arange(1, args.k_max + 1)
     arrays = (ks, 1.0 / ks, avg_k_cycles)  # a uniform permutation has 1/k k-cycles
-    _emit(_table(["k", "theory", "empirical_average"], arrays, args.format), args.out)
+    out.writelines(_table(["k", "theory", "empirical_average"], arrays, args.format))
     return True
 
 
-def _cmd_fixed_points(args) -> bool:
+def _cmd_fixed_points(args, out) -> bool:
     arrays = tuple(map(np.array, zip(*fixed_point_sweep(args.max_prime))))
-    _emit(_table(["p", "avg_fixed_points"], arrays, args.format), args.out)
+    out.writelines(_table(["p", "avg_fixed_points"], arrays, args.format))
     return True
 
 
@@ -180,9 +173,8 @@ def _family_check_doc(p: int, generators: list[int], row: dict, key: str, at: in
     return _json(doc)
 
 
-def _cmd_sidon(args) -> bool:
+def _cmd_sidon(args, out) -> bool:
     p = args.prime
-    generators = _resolve_generators(p, args.generator)
     # g = g0**j has the image of g0's graph under the automorphism
     # (u, y) -> (u, y/j) of Z_p x Z_{p-1}, which keeps every difference
     # collision and |S - S|, so one certificate of g0's graph decides them all
@@ -191,13 +183,12 @@ def _cmd_sidon(args) -> bool:
     size = (p - 1) ** 2 - (p - 1) + 1  # |S - S| of a Sidon set of p-1 points
     row = {"ok": ok, "diff_set_size": size if ok else None, "expected_diff_set_size": size}
     # broken_at is the first failing exponent of g0's table
-    _emit(_family_check_doc(p, generators, row, "broken_at", broken_at), args.out)
+    out.write(_family_check_doc(p, args.generators, row, "broken_at", broken_at))
     return ok
 
 
-def _cmd_char_sums(args) -> bool:
+def _cmd_char_sums(args, out) -> bool:
     p = args.prime
-    generators = _resolve_generators(p, args.generator)
     # g = g0**j has g0's sums with t read at t/j, the same magnitudes, so one
     # check of g0's graph decides them all; its maximum sqrt(p), first reached
     # at (1, 1) in row-major order, is below sqrt(3(p-1)) for every p >= 3
@@ -206,26 +197,23 @@ def _cmd_char_sums(args) -> bool:
     row = {"max_sum": max_sum, "bound": sidon_character_bound(p), "argmax_s": 1, "argmax_t": 1,
            "pass": ok}
     # off_at is the first t at which g0's sums are off their exact values
-    _emit(_family_check_doc(p, generators, row, "off_at", off_at), args.out)
+    out.write(_family_check_doc(p, args.generators, row, "off_at", off_at))
     return ok
 
 
-def _cmd_polya(args) -> bool:
-    try:
-        total = incomplete_exponential_sum_total(args.n, args.window)
-    except ValueError as exc:
-        raise InputError(str(exc)) from None
+def _cmd_polya(args, out) -> bool:
+    total = incomplete_exponential_sum_total(args.n, args.window)
     bound = polya_vinogradov_bound(args.n)
     ok = total < bound
     doc = {"n": args.n, "window": args.window, "shift": args.shift, "total": total,
            "bound": bound, "pass": ok}
-    _emit(_json(doc), args.out)
+    out.write(_json(doc))
     return ok
 
 
-def _cmd_discrepancy(args) -> bool:
+def _cmd_discrepancy(args, out) -> bool:
     p = args.prime
-    [g] = _resolve_generators(p, args.generator, single=True)
+    [g] = args.generators
     graph = build_graph(p, g)
     boxes, hits, expected, deviation, ratio, large_box = sweep(graph, args.boxes, args.seed)
     max_deviation = float(deviation.max())
@@ -234,22 +222,21 @@ def _cmd_discrepancy(args) -> bool:
     if args.out is not None:
         columns = (*boxes.T, hits, expected, deviation, ratio, large_box.astype(np.int64))
         header = ["h", "N", "k", "M", "hits", "expected", "deviation", "ratio", "large_box"]
-        _emit(_table(header, columns, "csv"), args.out)
+        out.writelines(_table(header, columns, "csv"))
     doc = {"p": p, "generator": g, "seed": args.seed, "num_boxes": len(boxes),
            "max_deviation": max_deviation, "bound": bound, "max_ratio": float(ratio.max()),
            "pass": ok}
-    _emit(_json(doc), None)
+    sys.stdout.write(_json(doc))
     return ok
 
 
-def _cmd_render_cycles(args) -> bool:
-    p = args.prime
-    _, length, count = family_cycle_types(p, _resolve_generators(p, args.generator, single=True))
-    _emit(cycle_diagram_svg(np.repeat(length, count).tolist()), args.out)
+def _cmd_render_cycles(args, out) -> bool:
+    _, length, count = family_cycle_types(args.prime, args.generators)
+    out.write(cycle_diagram_svg(np.repeat(length, count).tolist()))
     return True
 
 
-def _cmd_sign_demo(args) -> bool:
+def _cmd_sign_demo(args, out) -> bool:
     p = args.prime
     params = smallest_generator(p)
     d = params.d
@@ -263,7 +250,7 @@ def _cmd_sign_demo(args) -> bool:
     K, b = sign(params, secret_a, session_k, message_m)
     checked_m = (message_m + 1) % d if args.tamper else message_m
     verified = verify(params, public_A, checked_m, (K, b))
-    _emit(_json({"A": public_A, "K": K, "b": b, "verified": verified}), args.out)
+    out.write(_json({"A": public_A, "K": K, "b": b, "verified": verified}))
     return verified
 
 
@@ -367,8 +354,8 @@ _SUBCOMMANDS = (
      (_PRIME, _GENERATOR_OR_ALL)),
     ("polya", _cmd_polya, "incomplete exponential sum total vs 5n ln n",
      lambda a: [(a.n, MAX_TABLE_MODULUS, f"--n {a.n}")],
-     (_flag("--n", type=int, required=True, help="modulus"),
-      _flag("--window", type=int, required=True, help="window length N, 1 <= N < n"),
+     (_flag("--n", type=_at_least(2), required=True, help="modulus"),
+      _flag("--window", type=_at_least(1), required=True, help="window length N, 1 <= N < n"),
       _flag("--shift", type=int, default=0, help="window start h"))),
     ("discrepancy", _cmd_discrepancy, "box deviations vs 50 sqrt(p) ln(p)^2",
      # prefix tables of about p*(p-1)/64 cells, then 27 table reads per box
@@ -388,27 +375,11 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="subcommand", required=True, parser_class=_Parser)
     for name, handler, help_text, cost, flags in _SUBCOMMANDS:
         p = sub.add_parser(name, help=help_text)
-        p.set_defaults(handler=handler, cost=cost)
+        p.set_defaults(handler=handler, cost=cost, single_generator=_GENERATOR in flags)
         p.add_argument("--out", metavar="PATH", default=None, help="write output here instead of stdout")
         for flag, options in flags:
             p.add_argument(flag, **options)
     return parser
-
-
-def _check_out_path(path: str) -> None:
-    """Raise the OSError that opening `path` for writing would raise for an
-    empty path, a missing or non-directory parent or a directory, creating
-    nothing."""
-    if not path:
-        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
-    if os.path.isdir(path):
-        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
-    try:
-        parent_mode = os.stat(os.path.dirname(path) or ".").st_mode
-    except OSError as exc:
-        raise type(exc)(exc.errno, exc.strerror, path) from None
-    if not stat.S_ISDIR(parent_mode):
-        raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), path)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -416,14 +387,21 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.subcommand == "render-cycles" and args.out is None:
             raise InputError("render-cycles requires --out PATH for the SVG file")
-        if args.out is not None:  # fail before the computation, not after it
-            _check_out_path(args.out)
         if hasattr(args, "prime"):  # before any cost, which may factor p-1
             _require_odd_prime(args.prime)
         for cells, limit, what in args.cost(args):
             if cells > limit:
                 raise InputError(f"{what} needs {cells} cells, above the supported maximum {limit}")
-        ok = args.handler(args)
+        if hasattr(args, "generator"):
+            args.generators = _resolve_generators(args.prime, args.generator, args.single_generator)
+        if args.subcommand == "polya" and args.window >= args.n:
+            raise InputError(
+                f"window length must satisfy 1 <= N < n, got N={args.window}, n={args.n}"
+            )
+        # every input is checked: only now is --out created or truncated
+        with (open(args.out, "w", encoding="utf-8", newline="") if args.out is not None
+              else nullcontext(sys.stdout)) as out:
+            ok = args.handler(args, out)
     except (InputError, OSError) as exc:
         print(f"elgamalmap: error: {exc}", file=sys.stderr)
         return 1

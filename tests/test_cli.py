@@ -369,9 +369,9 @@ _PARSER = cli._build_parser()
 
 
 def _admitted(argv: list[str]) -> bool:
-    """Whether `main` passes argv on to its handler: --prime is a valid
-    prime, and every cost its subcommand declares is within its limit.
-    Neither the --out check nor the handler runs."""
+    """Whether `main` admits argv's size: --prime is a valid prime, and
+    every cost its subcommand declares is within its limit.  Neither
+    --generator nor polya's window is checked, and nothing is opened or run."""
     args = _PARSER.parse_args(argv)
     if hasattr(args, "prime"):
         cli._require_odd_prime(args.prime)
@@ -662,6 +662,8 @@ def test_negative_seed_is_usage_error(capsys, argv):
         (["kcycles", "--prime", "5", "--k-max", "0"], "--k-max: must be >= 1, got 0"),
         (["fixed-points", "--max-prime", "1"], "--max-prime: must be >= 2, got 1"),
         (["discrepancy", "--prime", "5", "--boxes", "-1"], "--boxes: must be >= 0, got -1"),
+        (["polya", "--n", "1", "--window", "1"], "--n: must be >= 2, got 1"),
+        (["polya", "--n", "4", "--window", "0"], "--window: must be >= 1, got 0"),
     ],
 )
 def test_count_below_its_minimum_is_usage_error(capsys, argv, error):
@@ -713,6 +715,17 @@ def test_out_flag_writes_file(capsys, tmp_path):
     assert code == 0
     assert out == ""
     assert target.read_text().splitlines()[0] == "generator,cycle_length,multiplicity"
+
+
+def test_failed_check_still_writes_out(capsys, tmp_path):
+    """A run that exits 2 writes its document to --out, as it would to stdout."""
+    target = tmp_path / "sign.json"
+    code, out = run(
+        capsys, "sign-demo", "--prime", "1009", "--seed", "0", "--tamper", "--out", str(target)
+    )
+    assert code == 2
+    assert out == ""
+    assert json.loads(target.read_text())["verified"] is False
 
 
 def test_json_format_for_tables(capsys):
@@ -787,7 +800,9 @@ def test_main_fuzz(tmp_path_factory, argv):
         assert err.getvalue().count("\n") == 1
 
 
-@pytest.mark.parametrize("target", ["missing/x.csv", "."])
+@pytest.mark.parametrize(
+    "target", ["missing/x.csv", ".", pytest.param("a" * 300, id="name-too-long")]
+)
 def test_unwritable_out_fails_before_computing(target, tmp_path, monkeypatch, capsys):
     """An --out path that cannot be opened is reported before the kernel runs."""
 
@@ -826,3 +841,33 @@ def test_empty_out_fails_before_computing(subcommand, monkeypatch, capsys):
     with pytest.raises(FileNotFoundError) as opened:
         open("", "w")
     assert captured.err == f"elgamalmap: error: {opened.value}\n"
+
+
+@pytest.mark.parametrize(
+    "argv, error",
+    [
+        ("cycles --prime 10", "10 is not an odd prime"),
+        ("kcycles --prime 10289", " above the supported maximum 52000000"),
+        ("cycles --prime 7 --generator 2", "2 does not generate the group mod 7"),
+        ("discrepancy --prime 7 --generator all",
+         "this subcommand needs a single generator, not 'all'"),
+        ("polya --n 4 --window 4", "window length must satisfy 1 <= N < n, got N=4, n=4"),
+    ],
+    ids=["prime", "cost", "generator", "single-generator", "window"],
+)
+def test_input_error_leaves_out_alone(argv, error, tmp_path, capsys):
+    """`main` checks every input before it opens --out: an input error
+    leaves an existing file's bytes as they were, and comes before the
+    error of an --out path that cannot be opened."""
+    kept, missing = tmp_path / "kept.csv", tmp_path / "missing" / "x.csv"
+    kept.write_bytes(b"kept\r\n")
+    for out in (kept, missing):
+        code = main([*argv.split(), "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith("elgamalmap: error: ")
+        assert captured.err.count("\n") == 1
+        assert error in captured.err
+    assert kept.read_bytes() == b"kept\r\n"
+    assert sorted(tmp_path.iterdir()) == [kept]

@@ -56,6 +56,29 @@ def test_render_gallery_smoke(tmp_path):
         assert (gallery / f"cycles_p61_g{g}.svg").read_bytes() == single.read_bytes()
 
 
+@pytest.mark.parametrize(
+    "args, error",
+    [
+        (["--count", "0"], "argument --count: must be >= 1, got 0"),
+        (["--count", "-1"], "argument --count: must be >= 1, got -1"),
+        (["--prime", "10"], "argument --prime: must be an odd prime up to 1000000, got 10"),
+        (["--prime", "1000003"],
+         "argument --prime: must be an odd prime up to 1000000, got 1000003"),
+    ],
+    ids=["count-0", "count-negative", "prime-composite", "prime-above-table"],
+)
+def test_render_gallery_rejects_bad_input(tmp_path, args, error):
+    """A count below 1 or a prime the library cannot tabulate is one
+    argparse error line, before the gallery directory is made."""
+    gallery = tmp_path / "gallery"
+    result = _run_script("scripts/render_gallery.py", *args, "--outdir", str(gallery))
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert result.stderr.splitlines()[-1].endswith(f": error: {error}")
+    assert "Traceback" not in result.stderr
+    assert not gallery.exists()
+
+
 _TRACED_CASES = [
     (
         "sign-demo",
@@ -74,6 +97,24 @@ _TRACED_CASES = [
         "discrepancy",
         ["discrepancy", "--prime", "13", "--boxes", "5"],
         {"discrepancy.sweep", "discrepancy.count_boxes"},
+    ),
+    (
+        "discrepancy-out",
+        ["discrepancy", "--prime", "13", "--boxes", "5", "--out", "{out}"],
+        {"discrepancy.sweep", "discrepancy.count_boxes"},
+    ),
+    ("polya", ["polya", "--n", "13", "--window", "6"], {"sidon.incomplete_exponential_sum_total"}),
+    ("kcycles", ["kcycles", "--prime", "13"], {"permstat.family_statistics"}),
+    ("fixed-points", ["fixed-points", "--max-prime", "13"], {"permstat.fixed_point_sweep"}),
+    (
+        "random-baseline",
+        ["random-baseline", "--degree", "12", "--samples", "5"],
+        {"permstat.stirling_cycle_distribution", "permstat.random_cycle_counts"},
+    ),
+    (
+        "render-cycles",
+        ["render-cycles", "--prime", "13", "--out", "{out}"],
+        {"render.cycle_diagram_svg", "permstat.family_cycle_types"},
     ),
 ]
 
@@ -94,12 +135,16 @@ def test_benchmark_traced_child_runs(tmp_path, mode, argv, layers):
     one makes every traced child fail, and a renamed function leaves its
     layer empty, which neither the plain benchmark run nor the other tests
     see.  `spans` times every call and `alloc` runs the heavy kernels
-    under tracemalloc, so each case runs in both."""
-    result_path = tmp_path / "result.json"
+    under tracemalloc, so each case runs in both.  "{out}" stands for an
+    --out path, which must then hold the output."""
+    result_path, out = tmp_path / "result.json", tmp_path / "out"
+    argv = [token.replace("{out}", str(out)) for token in argv]
     result = _run_script(
         "perfbench/child.py", mode, str(result_path), str(2 * 2**30), "--", *argv
     )
     assert result.returncode == 0, result.stderr
+    if "--out" in argv:
+        assert out.stat().st_size > 0
     assert layers <= set(json.loads(result_path.read_text())["layers"])
 
 
