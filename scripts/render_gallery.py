@@ -1,20 +1,18 @@
 #!/usr/bin/env python3
 """Render cycle diagrams for the smallest generators of one prime field,
-one standalone SVG per generator."""
+one standalone SVG per generator, each the `render-cycles` output for it.
+The process exit code is the worst exit code of those runs."""
 
 from __future__ import annotations
 
 import argparse
 from pathlib import Path
 
-import numpy as np
-
+from elgamalmap.cli import main as cli_main
 from elgamalmap.numth import MAX_TABLE_MODULUS, all_generators, is_prime
-from elgamalmap.permstat import family_cycle_types
-from elgamalmap.render import cycle_diagram_svg
 
 
-def main() -> None:
+def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--prime", type=int, default=1009)
     parser.add_argument("--count", type=int, default=12, help="how many generators, smallest first")
@@ -26,16 +24,21 @@ def main() -> None:
         parser.error(
             f"argument --prime: must be an odd prime up to {MAX_TABLE_MODULUS}, got {args.prime}"
         )
+    try:
+        args.outdir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # e.g. --outdir names a file
+        parser.error(f"argument --outdir: {exc}")
 
-    args.outdir.mkdir(parents=True, exist_ok=True)
-    generators = all_generators(args.prime)[: args.count]
-    index, length, count = family_cycle_types(args.prime, generators)
-    for i, g in enumerate(generators):
-        lengths = np.repeat(length[index == i], count[index == i])
+    worst = 0
+    for g in all_generators(args.prime)[: args.count]:
         path = args.outdir / f"cycles_p{args.prime}_g{g}.svg"
-        path.write_text(cycle_diagram_svg(lengths.tolist()), encoding="utf-8")
-        print(f"wrote {path} ({len(lengths)} cycles)")
+        code = cli_main(["render-cycles", "--prime", str(args.prime), "--generator", str(g),
+                         "--out", str(path)])
+        if code == 0:
+            print(f"wrote {path}")
+        worst = max(worst, code)
+    return worst
 
 
 if __name__ == "__main__":
-    main()
+    raise SystemExit(main())

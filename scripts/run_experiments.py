@@ -34,7 +34,10 @@ def main() -> int:
     parser.add_argument("--outdir", type=Path, default=Path("out"))
     parser.add_argument("--quick", action="store_true", help="small parameters only")
     args = parser.parse_args()
-    args.outdir.mkdir(parents=True, exist_ok=True)
+    try:
+        args.outdir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # e.g. --outdir names a file
+        parser.error(f"argument --outdir: {exc}")
 
     p = "101" if args.quick else "1009"
     max_prime = "101" if args.quick else "2111"

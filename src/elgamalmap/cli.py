@@ -135,9 +135,8 @@ def _cycle_count_table(n: int, counts: Sequence[int]) -> tuple[np.ndarray, ...]:
 
 
 def _cmd_cycle_dist(args, out) -> bool:
-    p = args.prime
-    cycle_counts, _ = family_statistics(p, all_generators(p), k_max=1)
-    arrays = _cycle_count_table(p - 1, cycle_counts)
+    cycle_counts, _ = family_statistics(args.prime, k_max=1)
+    arrays = _cycle_count_table(args.prime - 1, cycle_counts)
     out.writelines(_table(["c", "theory_percent", "elgamal_percent"], arrays, args.format))
     return True
 
@@ -150,7 +149,7 @@ def _cmd_random_baseline(args, out) -> bool:
 
 
 def _cmd_kcycles(args, out) -> bool:
-    _, avg_k_cycles = family_statistics(args.prime, all_generators(args.prime), k_max=args.k_max)
+    _, avg_k_cycles = family_statistics(args.prime, k_max=args.k_max)
     ks = np.arange(1, args.k_max + 1)
     arrays = (ks, 1.0 / ks, avg_k_cycles)  # a uniform permutation has 1/k k-cycles
     out.writelines(_table(["k", "theory", "empirical_average"], arrays, args.format))

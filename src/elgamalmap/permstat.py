@@ -22,7 +22,7 @@ from collections.abc import Callable, Iterator
 
 import numpy as np
 
-from .numth import _exponent_gcds, _smallest_generator, smallest_generator
+from .numth import GroupParams, _exponent_gcds, _smallest_generator, smallest_generator
 
 __all__ = [
     "stirling_cycle_distribution",
@@ -152,13 +152,10 @@ def random_cycle_counts(n: int, samples: int, seed: int) -> list[int]:
     return counts
 
 
-def _family_blocks(p: int, generators: list[int]) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
-    """`_cycle_lengths` of the generators' image tables, in the order given:
-    g = g0**j, for the smallest generator g0 and a unit j mod p-1
-    (`GroupParams.exponents`), reads g0's one power table at j*x mod (p-1),
+def _family_blocks(g0: GroupParams, js: np.ndarray) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+    """`_cycle_lengths` of the image tables of g0**j for the units j mod p-1
+    in `js`, in order: each reads g0's one power table at j*x mod (p-1),
     and x and the products j*x live in the kernel's gather buffer."""
-    g0 = smallest_generator(p)
-    d, js = g0.d, g0.exponents(generators)
 
     def fill(start: int, stop: int, out: np.ndarray, scratch: np.ndarray) -> None:
         x = scratch[-1]  # x = 1..p-1 as a running sum, multiplied in place last
@@ -166,10 +163,10 @@ def _family_blocks(p: int, generators: list[int]) -> Iterator[tuple[int, np.ndar
         np.cumsum(x, out=x)
         for row, j in zip(scratch, js[start:stop]):
             np.multiply(x, j, out=row)
-        np.remainder(scratch, d, out=scratch)  # x = p-1 reduces to exponent 0
-        np.take(g0.table, scratch, out=out, mode="clip")  # scratch < d
+        np.remainder(scratch, g0.d, out=scratch)  # x = p-1 reduces to exponent 0
+        np.take(g0.table, scratch, out=out, mode="clip")  # scratch < p-1
 
-    return _cycle_lengths(len(js), d, fill)
+    return _cycle_lengths(len(js), g0.d, fill)
 
 
 def family_cycle_types(p: int, generators: list[int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -185,8 +182,9 @@ def family_cycle_types(p: int, generators: list[int]) -> tuple[np.ndarray, np.nd
         ValueError: if p is not an odd prime or an entry of `generators`
             is not a generator mod p.
     """
+    g0 = smallest_generator(p)
     blocks, start = [np.empty((2, 0), dtype=np.int64)], 0  # no generators, no rows
-    for m, rows, lengths in _family_blocks(p, generators):
+    for m, rows, lengths in _family_blocks(g0, g0.exponents(generators)):
         # every length is below p, so one code sorts by row, then longest first
         blocks.append(np.unique((start + rows) * p + p - lengths, return_counts=True))
         start += m
@@ -194,32 +192,33 @@ def family_cycle_types(p: int, generators: list[int]) -> tuple[np.ndarray, np.nd
     return code // p, p - code % p, count
 
 
-def family_statistics(p: int, generators: list[int], k_max: int) -> tuple[np.ndarray, np.ndarray]:
-    """Cycle statistics of the permutations x -> g**x over a generator
-    family, counted a block of generators at a time with no length array
-    per generator (reducing `family_cycle_types` instead took 0.6 MB more
-    peak RSS at p = 4001).
+def family_statistics(p: int, k_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """Cycle statistics of x -> g**x over the family g = g0**j of all
+    phi(p-1) generators of the odd prime p, g0 the smallest and j the units
+    mod p-1 in ascending order, counted a block at a time with no length
+    array per generator (reducing `family_cycle_types` instead took 0.6 MB
+    more peak RSS at p = 4001).
 
     Returns:
         (cycle_counts, avg_k_cycles): cycle_counts[i], int64, is the number
-        of cycles of generators[i]; avg_k_cycles[k-1], float64, is the mean
-        number of k-cycles over the family for k = 1..k_max, 0 past p-1.
+        of cycles of g0**j for the i-th unit j; avg_k_cycles[k-1], float64,
+        is the mean number of k-cycles for k = 1..k_max, 0 past p-1.
 
     Raises:
-        ValueError: if any entry of `generators` is not a generator mod p.
+        ValueError: if p is not an odd prime or k_max < 1.
     """
-    if not generators:
-        raise ValueError("generator family must be nonempty")
     if k_max < 1:
         raise ValueError(f"k_max must be >= 1, got {k_max}")
-    cycle_counts = np.empty(len(generators), dtype=np.int64)
+    g0 = smallest_generator(p)
+    js = np.flatnonzero(_exponent_gcds(g0.d) == 1)
+    cycle_counts = np.empty(len(js), dtype=np.int64)
     k_totals, start = np.zeros(k_max + 1, dtype=np.int64), 0
-    for m, rows, lengths in _family_blocks(p, generators):
+    for m, rows, lengths in _family_blocks(g0, js):
         cycle_counts[start : start + m] = np.bincount(rows, minlength=m)
         k_totals += np.bincount(lengths, minlength=k_max + 1)[: k_max + 1]
         start += m
     # divide, then slice: dividing a 1-element array (k_max = 1) maps 64 KB more numpy code
-    return cycle_counts, (k_totals / len(generators))[1:]
+    return cycle_counts, (k_totals / len(js))[1:]
 
 
 def _totients(n: int) -> np.ndarray:

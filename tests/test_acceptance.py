@@ -173,7 +173,7 @@ def test_criterion_07_cycle_statistics_at_1009():
     with _criterion(7, "cycle statistics of all 288 generators track the random baseline"):
         generators = all_generators(1009)
         assert len(generators) == 288
-        cycle_counts, avg_k_cycles = family_statistics(1009, generators, k_max=5)
+        cycle_counts, avg_k_cycles = family_statistics(1009, k_max=5)
         harmonic = sum(1.0 / i for i in range(1009, 0, -1))  # direct-summation oracle
         assert abs(cycle_counts.sum() / len(generators) - harmonic) <= 0.5
         assert abs(avg_k_cycles[0] - 1.0) <= 0.3

@@ -55,6 +55,9 @@ def _cases() -> dict[str, list[str]]:
     cases["cycles_all_p1009"] = ["cycles", "--prime", "1009", "--generator", "all"]
     cases["cycle-dist_p1009"] = ["cycle-dist", "--prime", "1009"]
     cases["kcycles_p1009"] = ["kcycles", "--prime", "1009"]
+    # the `cycles` benchmark workload's family runs
+    cases["cycle-dist_p4001"] = ["cycle-dist", "--prime", "4001"]
+    cases["kcycles_k20_p4001"] = ["kcycles", "--prime", "4001", "--k-max", "20"]
     cases["fixed-points_p1009"] = ["fixed-points", "--max-prime", "1009"]
     cases["sidon_p1009"] = ["sidon", "--prime", "1009"]
     cases["sidon_p2003"] = ["sidon", "--prime", "2003"]

@@ -1,12 +1,13 @@
 import itertools
 import tracemalloc
-from math import factorial
+from math import factorial, gcd
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from elgamalmap import permstat
 from elgamalmap.numth import GroupParams, all_generators, smallest_generator
 from elgamalmap.permstat import (
     _block_rows,
@@ -218,34 +219,31 @@ def test_monte_carlo_k_cycle_averages():
 
 
 def test_family_statistics_p5():
-    cycle_counts, avg_k_cycles = family_statistics(5, [2, 3], k_max=4)
-    # g=2 has cycles (3,1); g=3 is the 4-cycle (1 3 2 4)
+    cycle_counts, avg_k_cycles = family_statistics(5, k_max=4)
+    # g=2=2**1 has cycles (3,1); g=3=2**3 is the 4-cycle (1 3 2 4)
     assert np.array_equal(cycle_counts, [2, 1])
     assert avg_k_cycles[0] == pytest.approx(0.5)
     assert cycle_counts.sum() / len(cycle_counts) == 1.5
 
 
 def test_family_statistics_p3():
-    cycle_counts, avg_k_cycles = family_statistics(3, [2], k_max=2)
+    cycle_counts, avg_k_cycles = family_statistics(3, k_max=2)
     assert np.array_equal(cycle_counts, [1])
     assert np.array_equal(avg_k_cycles, [0.0, 1.0])
 
 
 def test_family_statistics_is_deterministic():
-    a = family_statistics(13, all_generators(13), k_max=6)
-    b = family_statistics(13, all_generators(13), k_max=6)
+    a = family_statistics(13, k_max=6)
+    b = family_statistics(13, k_max=6)
     assert all(np.array_equal(x, y) for x, y in zip(a, b))
 
 
 def test_family_statistics_rejects_bad_input():
-    with pytest.raises(ValueError):
-        family_statistics(5, [], k_max=3)
-    for g in (4, 1, 0, 5, -1):
-        message = "does not generate" if g == 4 else "must lie in"  # 4 has order 2 mod 5
-        with pytest.raises(ValueError, match=message):
-            family_statistics(5, [g], k_max=3)
-        with pytest.raises(ValueError, match=message):
-            family_statistics(5, [2, g, 3], k_max=3)
+    for p in (-1, 0, 1, 2, 4, 9, 10):
+        with pytest.raises(ValueError, match=f"p must be an odd prime, got {p}"):
+            family_statistics(p, k_max=3)
+    with pytest.raises(ValueError, match="k_max must be >= 1, got 0"):
+        family_statistics(5, k_max=0)
 
 
 # (p, how many of its generators, smallest first; None for all of them)
@@ -271,19 +269,52 @@ def test_family_cycle_lengths_matches_orbit_walk(p, how_many):
         assert count[index == i].tolist() == counts[::-1].tolist()
 
 
-@pytest.mark.parametrize("p, how_many", _ORACLE_CASES, ids=[str(p) for p, _ in _ORACLE_CASES])
-def test_family_statistics_matches_cycle_types(p, how_many):
-    """`family_statistics` reduces the oracle-tested `family_cycle_types`:
-    each generator's cycle count, in the order given, and the mean count
-    of each length k; with k_max = p + 1, the rows past p-1 read 0."""
-    generators = all_generators(p)[:how_many]
+# the whole family at 16381 is about 57 M cells, so its 3-generator case stays with the oracle
+_FAMILY_PRIMES = [p for p, how_many in _ORACLE_CASES if how_many is None]
+
+
+@pytest.mark.parametrize("p", _FAMILY_PRIMES, ids=str)
+def test_family_statistics_matches_cycle_types(p):
+    """`family_statistics` reduces the oracle-tested `family_cycle_types`
+    of all generators: the same cycle counts, compared sorted since the
+    two order the family differently, and the mean count of each length k;
+    with k_max = p + 1, the rows past p-1 read 0."""
+    generators = all_generators(p)
     index, length, count = family_cycle_types(p, generators)
-    cycle_counts, avg_k_cycles = family_statistics(p, generators, k_max=p + 1)
+    cycle_counts, avg_k_cycles = family_statistics(p, k_max=p + 1)
     assert (cycle_counts.dtype, avg_k_cycles.dtype) == (np.int64, np.float64)
-    assert np.array_equal(cycle_counts, np.bincount(index, weights=count))
+    assert np.array_equal(np.sort(cycle_counts), np.sort(np.bincount(index, weights=count)))
     k_totals = np.bincount(length, weights=count, minlength=p + 2)
     assert np.array_equal(avg_k_cycles, k_totals[1:] / len(generators))
     assert not avg_k_cycles[p - 1 :].any()
+
+
+@pytest.mark.parametrize("p", [11, 101, 1009])
+def test_family_statistics_orders_by_exponent(p):
+    """cycle_counts[i] belongs to g0**j for the i-th unit j mod p-1, which
+    at these primes is not the ascending order of the generators."""
+    g0 = smallest_generator(p)
+    units = [j for j in range(1, p - 1) if gcd(j, p - 1) == 1]
+    generators = [pow(g0.g, j, p) for j in units]
+    assert generators != sorted(generators)
+    index, _, count = family_cycle_types(p, generators)
+    cycle_counts, _ = family_statistics(p, k_max=1)
+    assert np.array_equal(cycle_counts, np.bincount(index, weights=count))
+
+
+@pytest.mark.parametrize("rows", [1, 3], ids=["one-row", "three-rows"])
+def test_family_results_do_not_depend_on_block_size(monkeypatch, rows):
+    """At 101, whose 40 generators take 100 cells each, blocks of one row
+    and of three rows (40 = 13*3 + 1, so the last block holds one row)
+    give the results of the default single block."""
+    generators = all_generators(101)
+    expected = (family_statistics(101, k_max=102), family_cycle_types(101, generators))
+    assert _block_rows(40, 100) == 40
+    monkeypatch.setattr(permstat, "_BLOCK_CELLS", rows * 100)
+    assert _block_rows(40, 100) == rows
+    got = (family_statistics(101, k_max=102), family_cycle_types(101, generators))
+    for want, have in zip(expected, got):
+        assert all(np.array_equal(a, b) for a, b in zip(want, have))
 
 
 def test_family_cycle_types_cases_cross_blocks():
@@ -298,7 +329,7 @@ def test_family_cycle_types_cases_cross_blocks():
     "p, generators, run",
     [
         (999983, lambda p: [smallest_generator(p).g], family_cycle_types),
-        (4001, all_generators, lambda p, generators: family_statistics(p, generators, 20)),
+        (4001, all_generators, lambda p, generators: family_statistics(p, 20)),
     ],
     ids=["one-row-blocks", "all-generators"],
 )
@@ -349,6 +380,6 @@ def test_fixed_point_sweep_small_values():
 def test_fixed_point_sweep_agrees_with_decomposition(p):
     """Dual route: the vectorized sweep must reproduce the average number
     of 1-cycles over explicitly decomposed permutations."""
-    _, avg_k_cycles = family_statistics(p, all_generators(p), k_max=1)
+    _, avg_k_cycles = family_statistics(p, k_max=1)
     sweep_avg = dict(fixed_point_sweep(p))[p]
     assert sweep_avg == pytest.approx(avg_k_cycles[0], abs=1e-12)

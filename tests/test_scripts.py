@@ -49,6 +49,8 @@ def test_render_gallery_smoke(tmp_path):
     assert sorted(path.name for path in gallery.iterdir()) == [
         "cycles_p61_g2.svg", "cycles_p61_g6.svg", "cycles_p61_g7.svg",
     ]
+    wrote = [f"wrote {gallery / f'cycles_p61_g{g}.svg'}" for g in (2, 6, 7)]
+    assert result.stdout.splitlines() == wrote
     for g in (2, 6, 7):
         code = cli.main(["render-cycles", "--prime", "61", "--generator", str(g),
                          "--out", str(single)])
@@ -77,6 +79,44 @@ def test_render_gallery_rejects_bad_input(tmp_path, args, error):
     assert result.stderr.splitlines()[-1].endswith(f": error: {error}")
     assert "Traceback" not in result.stderr
     assert not gallery.exists()
+
+
+@pytest.mark.parametrize(
+    "script, args",
+    [
+        ("scripts/run_experiments.py", ["--quick"]),
+        ("scripts/render_gallery.py", ["--prime", "61", "--count", "1"]),
+    ],
+    ids=["run-experiments", "render-gallery"],
+)
+def test_outdir_naming_a_file_is_usage_error(tmp_path, script, args):
+    """An --outdir that names a file is one argparse error line before any
+    run, and the file keeps its bytes."""
+    outdir = tmp_path / "taken"
+    outdir.write_bytes(b"keep me\n")
+    result = _run_script(script, *args, "--outdir", str(outdir))
+    assert result.returncode == 2
+    assert result.stdout == ""
+    error = f": error: argument --outdir: [Errno 17] File exists: '{outdir}'"
+    assert result.stderr.splitlines()[-1].endswith(error)
+    assert "Traceback" not in result.stderr
+    assert outdir.read_bytes() == b"keep me\n"
+    assert list(tmp_path.iterdir()) == [outdir]
+
+
+def test_scripts_import_only_the_cli_and_numth():
+    """The scripts drive the package through its command line; numth
+    serves only their input checks and the generator list."""
+    modules = set()
+    for path in (ROOT / "scripts").glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom):
+                modules.add(node.module)
+            elif isinstance(node, ast.Import):
+                modules.update(alias.name for alias in node.names)
+    package = {name for name in modules if name and name.split(".")[0] == "elgamalmap"}
+    assert "elgamalmap.cli" in package
+    assert package <= {"elgamalmap.cli", "elgamalmap.numth"}
 
 
 _TRACED_CASES = [
