@@ -322,9 +322,9 @@ _SUBCOMMANDS = (
      lambda a: [_family(a.prime)], (_PRIME, _FORMAT)),
     ("random-baseline", _cmd_random_baseline,
      "cycle-count distribution of seeded uniform permutations",
-     # a sample seeds its own generator (about 21 us, as long as 256 cells
-     # take) and decomposes its degree cells, which cost more above 2^15
-     # (--degree 65536 --samples 510 takes 4.3 s); the exact baseline takes
+     # a sample seeds its own generator (about 13 us, counted as 256 cells
+     # here) and decomposes its degree cells, which cost more above 2^15
+     # (42 ns a cell at 65536 and 34 ns at 32768); the exact baseline takes
      # one step per degree over its nonzero prefix, about 300 entries
      lambda a: [((a.degree + 256) * a.samples, 2**25,
                  f"--degree {a.degree} --samples {a.samples}"),

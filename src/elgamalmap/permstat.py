@@ -2,12 +2,13 @@
 baseline they are compared against.
 
 Every cycle statistic comes from one kernel, `_cycle_lengths`, which
-decomposes a block of image tables at once in three work arrays; the
-generator family of a prime and the seeded random sample are both fed
-to it in blocks of at most `_BLOCK_CELLS` cells.  Its callers reduce
-each row's cycles to counts, so none depends on their order in a row,
-and return the family's cycle types, cycle counts and k-cycle means as
-numpy columns.
+decomposes a block of 0-based image tables at once in three work
+arrays; the generator family of a prime, in a conjugate form with the
+same cycle types, and the seeded random sample are both fed to it in
+blocks of at most `_BLOCK_CELLS` cells.  Its callers reduce each row's
+cycles to counts, so none depends on their order in a row, and return
+the family's cycle types, cycle counts and k-cycle means as numpy
+columns.
 
 The baseline facts: a uniform permutation of n elements has s(n,c)/n!
 probability of exactly c cycles (unsigned Stirling numbers of the first
@@ -36,17 +37,21 @@ __all__ = [
 def _cycle_lengths(
     m: int, n: int, fill: Callable[[int, int, np.ndarray, np.ndarray], None]
 ) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
-    """Cycle lengths of m permutations of {1..n}, n >= 1, decomposed a
+    """Cycle lengths of m permutations of {0..n-1}, n >= 1, decomposed a
     block of `_block_rows(m, n)` rows at a time.
 
-    fill(start, stop, out, scratch) writes the 1-based image tables of
+    fill(start, stop, out, scratch) writes the 0-based image tables of
     rows [start, stop) into the int64 array `out` of shape
-    (stop - start, n).  Each row must be a bijection on {1..n}: with row
+    (stop - start, n).  Each row must be a bijection on {0..n-1}: with row
     offsets added, the block's images must hit every one of its cells.
-    Orbits are then labeled by pointer doubling: after ceil(log2 n) rounds
-    of label = min(label, label[succ]); succ = succ[succ], each element
-    carries the least element of its cycle, and the cycle lengths are the
-    label counts at the elements that are their own label.
+    After r rounds of label = min(label, label[succ]); succ = succ[succ],
+    succ is pi**W (W = 2**r) and each cell carries the least cell of its
+    window of W steps.  Each distinct label then walks ceil(n/W) - 1 hops
+    of pi**W, whose windows tile its whole cycle, to the least label met:
+    the cycle's least cell, where the label counts sum to its length.
+    r = max(ceil(log2 n) - 5, ceil(ceil(log2 n) / 2)) keeps a walk within
+    31 hops (README, "Conventions").  A random row has about 2n/W labels;
+    the identity, every cell a label, is the worst case.
 
     The three work arrays are allocated once per call and every step
     writes into them, so no block allocates or frees an array of its size.
@@ -55,34 +60,45 @@ def _cycle_lengths(
     Yields:
         (rows, row, length) per block of `rows` permutations: one entry per
         cycle, ordered by row within the block (within a row, by the least
-        element of the cycle, which no caller relies on).
+        cell of the cycle, which no caller relies on).
 
     Raises:
-        ValueError: if a row is not a bijection on {1..n}.
+        ValueError: if a row is not a bijection on {0..n-1}.
     """
     step = _block_rows(m, n)
     succ, work, label = (np.empty(step * n, dtype=np.int64) for _ in range(3))
+    bits = (n - 1).bit_length()
+    rounds = max(bits - 5, (bits + 1) // 2)
+    hops = -(-n >> rounds) - 1  # ceil(n / W) - 1
     for start in range(0, m, step):
         rows = min(step, m - start)
         s, w, lab = (a[: rows * n] for a in (succ, work, label))
         fill(start, start + rows, s.reshape(rows, n), w.reshape(rows, n))
-        if s.min() < 1 or s.max() > n:
-            raise ValueError("image is not a bijection on {1..n}")
-        for r in range(rows):  # no broadcast, so numpy allocates no iteration buffer
-            s[r * n : (r + 1) * n] += r * n - 1  # to 0-based cells of the block
+        if s.min() < 0 or s.max() >= n:
+            raise ValueError("image is not a bijection on {0..n-1}")
+        for r in range(1, rows):  # no broadcast, so numpy allocates no iteration buffer
+            s[r * n : (r + 1) * n] += r * n  # to cells of the block
         lab.fill(-1)
         lab[s] = s  # the identity iff the images hit every cell
         if lab.min() < 0:
-            raise ValueError("image is not a bijection on {1..n}")
-        for _ in range((n - 1).bit_length()):
+            raise ValueError("image is not a bijection on {0..n-1}")
+        for _ in range(rounds):
             # mode="clip" writes into `out` in place ("raise" copies it); no index is out of range
             np.take(lab, s, out=w, mode="clip")
             np.minimum(lab, w, out=lab)
             np.take(s, s, out=w, mode="clip")
             s, w = w, s
         w.fill(0)
-        np.add.at(w, lab, 1)  # nonzero exactly at each cycle's least element
-        roots = np.flatnonzero(w)
+        np.add.at(w, lab, 1)  # nonzero exactly at the labels
+        labels = np.flatnonzero(w)
+        cells = w[labels]
+        w[labels] = 0
+        least, at = lab[labels], labels
+        for _ in range(hops):
+            at = s[at]
+            np.minimum(least, lab[at], out=least)
+        np.add.at(w, least, cells)
+        roots = labels[least == labels]  # a cycle's least cell is its own label
         yield rows, roots // n, w[roots]
 
 
@@ -118,8 +134,9 @@ def stirling_cycle_distribution(n: int) -> np.ndarray:
 # each int64 work array below glibc's 128 KiB default mmap threshold, so it
 # comes from the heap whatever the import left the threshold at (mapping
 # 2**14-cell arrays once per block took 42,000 minor page faults at p = 4001).
-# 2**13 cells slowed `cycle-dist --prime 4001` from 0.44 to 0.51 s; 2**16
-# ran no faster and raised its peak RSS from 30.3 to 32.3 MB.
+# 2**13 cells slowed `family_statistics(4001, 20)` from 0.16 to 0.18 s;
+# 2**16 took 0.15 s but raised the peak RSS of `cycle-dist --prime 4001`
+# from 29.6 to 31.0 MB.
 _BLOCK_CELLS = 2**14 - 16
 
 
@@ -139,7 +156,7 @@ def random_cycle_counts(n: int, samples: int, seed: int) -> list[int]:
     """
     if n < 1:
         raise ValueError(f"degree must be >= 1, got {n}")
-    identity = np.arange(1, n + 1)
+    identity = np.arange(n)
 
     def fill(start: int, stop: int, out: np.ndarray, _: np.ndarray) -> None:
         for i, row in enumerate(out, start):
@@ -153,18 +170,17 @@ def random_cycle_counts(n: int, samples: int, seed: int) -> list[int]:
 
 
 def _family_blocks(g0: GroupParams, js: np.ndarray) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
-    """`_cycle_lengths` of the image tables of g0**j for the units j mod p-1
-    in `js`, in order: each reads g0's one power table at j*x mod (p-1),
-    and x and the products j*x live in the kernel's gather buffer."""
+    """`_cycle_lengths` of g0**j for the units j mod p-1 in `js`, in order,
+    each as e -> j*table[e] mod (p-1) on {0..p-2}: x -> g0**(j*x)
+    conjugated by multiplication by j, so of the same cycle type.  The
+    quotients mod p-1 live in the kernel's gather buffer."""
 
     def fill(start: int, stop: int, out: np.ndarray, scratch: np.ndarray) -> None:
-        x = scratch[-1]  # x = 1..p-1 as a running sum, multiplied in place last
-        x.fill(1)
-        np.cumsum(x, out=x)
-        for row, j in zip(scratch, js[start:stop]):
-            np.multiply(x, j, out=row)
-        np.remainder(scratch, g0.d, out=scratch)  # x = p-1 reduces to exponent 0
-        np.take(g0.table, scratch, out=out, mode="clip")  # scratch < p-1
+        np.multiply.outer(js[start:stop], g0.table, out=out)
+        # out - out // d * d, faster than np.remainder
+        np.floor_divide(out, g0.d, out=scratch)
+        np.multiply(scratch, g0.d, out=scratch)
+        np.subtract(out, scratch, out=out)
 
     return _cycle_lengths(len(js), g0.d, fill)
 

@@ -48,12 +48,12 @@ def _orbit_walk_lengths(image) -> list[int]:
 
 def _decompose(images) -> tuple[np.ndarray, np.ndarray]:
     """(row, length) of every row of the (m, n) block of 1-based image
-    tables `images`, through the blocked kernel, with rows numbered from 0
-    across its blocks."""
+    tables `images`, through the blocked kernel, which takes them 0-based,
+    with rows numbered from 0 across its blocks."""
     images = np.asarray(images)
 
     def fill(start, stop, out, scratch):
-        out[:] = images[start:stop]
+        out[:] = images[start:stop] - 1
 
     blocks = list(_cycle_lengths(*images.shape, fill))
     starts = np.cumsum([0] + [m for m, _, _ in blocks])
@@ -79,8 +79,29 @@ def test_cycle_lengths_matches_orbit_walk(n, random_rows, seed):
         assert lengths[rows == r].tolist() == _orbit_walk_lengths(image)
 
 
+@pytest.mark.parametrize("block_rows", [None, 1], ids=["multi-row", "one-row"])
+@pytest.mark.parametrize("n", [1, 2, 3, 31, 32, 33, 1023, 1024, 1025])
+def test_cycle_lengths_edges_match_orbit_walk(monkeypatch, n, block_rows):
+    """At and around the powers of two, where the kernel's doubling rounds
+    and its walk's hop count change, each row's lengths are the orbit
+    walk's: the identity (every cell its own label, the most labels), the
+    n-cycle (whose labels walk every hop to reach its least cell) and four
+    random rows, in one block of six rows and in blocks of one row."""
+    rng = np.random.default_rng(n)
+    identity = np.arange(1, n + 1)
+    images = np.stack([identity, np.roll(identity, -1)] + [rng.permutation(n) + 1 for _ in range(4)])
+    if block_rows is not None:
+        monkeypatch.setattr(permstat, "_BLOCK_CELLS", block_rows * n)
+    assert _block_rows(len(images), n) == (block_rows or len(images))
+    rows, lengths = _decompose(images)
+    for r, image in enumerate(images.tolist()):
+        assert lengths[rows == r].tolist() == _orbit_walk_lengths(image)
+
+
 @pytest.mark.parametrize("n", [1, 2, 7, 20000])  # 20000: one row per block
 def test_cycle_lengths_rejects_non_bijections(n):
+    """Images n and -1 (out of range) and a repeat, each in a row alone
+    and between two good rows; `_decompose` shifts these 1-based rows."""
     good = np.arange(1, n + 1)
     bad_rows = [np.full(n, n + 1), np.zeros(n, dtype=np.int64)]
     if n > 1:
