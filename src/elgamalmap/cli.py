@@ -34,6 +34,7 @@ from .discrepancy import sweep, theorem_bound
 from .elgamal import sign, verify
 from .numth import (
     MAX_TABLE_MODULUS,
+    GroupParams,
     all_generators,
     generator_count,
     is_prime,
@@ -70,7 +71,7 @@ class InputError(Exception):
 def _require_odd_prime(n: int) -> None:
     if n < 3 or not is_prime(n):
         raise InputError(f"{n} is not an odd prime")
-    if n > MAX_TABLE_MODULUS:  # its log table takes p cells
+    if n > MAX_TABLE_MODULUS:  # its power table takes p-1 cells
         raise InputError(
             f"--prime {n} needs {n} cells, above the supported maximum {MAX_TABLE_MODULUS}"
         )
@@ -90,7 +91,7 @@ def _resolve_generators(p: int, selection: str, single: bool) -> list[int]:
             f"--generator must be an integer, 'smallest', or 'all', got {selection!r}"
         ) from None
     try:
-        smallest_generator(p).exponents([g])
+        GroupParams(p, g)
     except ValueError as exc:
         raise InputError(str(exc)) from None
     return [g]

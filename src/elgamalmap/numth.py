@@ -103,9 +103,8 @@ class GroupParams:
 
     `d` is the group order p - 1.  Construction validates that p is an
     odd prime and that g is a primitive root, i.e. g**((p-1)/q) != 1
-    mod p for every prime q dividing p - 1.  `table` (g's power table)
-    and `log` (its inverse, log[table[e]] = e; log[0] is unused) are
-    read-only and computed on first use, once per instance.
+    mod p for every prime q dividing p - 1.  `table`, g's power table,
+    is read-only and computed on first use, once per instance.
     """
 
     p: int
@@ -130,23 +129,20 @@ class GroupParams:
         table.flags.writeable = False
         return table
 
-    @cached_property
-    def log(self) -> np.ndarray:
-        log = np.zeros(self.p, dtype=np.int64)
-        log[self.table] = np.arange(self.d)
-        log.flags.writeable = False
-        return log
-
     def exponents(self, generators: list[int]) -> np.ndarray:
-        """The exponents j = log[g] (g = self.g**j mod p; 1 for self.g, which
-        needs no log) of `generators`, after checking that each lies in
-        [2, p-1] and generates the group, i.e. that j is a unit mod p-1.
-        Each one's power table is then `table` read at j*x mod (p-1)."""
+        """The exponents j (g = self.g**j mod p; 1 for self.g) of
+        `generators`, after checking that each lies in [2, p-1] and
+        generates the group, i.e. that j is a unit mod p-1.  Each one's
+        power table is then `table` read at j*x mod (p-1).  A call that
+        names any other generator than self.g inverts `table` once."""
+        if any(g != self.g for g in generators):
+            log = np.empty(self.p, dtype=np.int64)  # log[table[e]] = e; log[0] unused
+            log[self.table] = np.arange(self.d)
         js = []
         for g in generators:
             if not 2 <= g <= self.p - 1:
                 raise ValueError(f"g must lie in [2, p-1], got {g}")
-            j = 1 if g == self.g else int(self.log[g])
+            j = 1 if g == self.g else int(log[g])
             if gcd(j, self.d) != 1:
                 raise ValueError(f"{g} does not generate the group mod {self.p}")
             js.append(j)
@@ -171,7 +167,7 @@ def smallest_generator(p: int) -> GroupParams:
 @lru_cache(maxsize=1)
 def _smallest_generator(p: int) -> GroupParams:
     """smallest_generator of a p known to be an odd prime.  One entry, since
-    each holds 16 bytes a residue once its table and log are read."""
+    each holds 8 bytes a residue once its table is read."""
     g = 2
     while not _is_primitive_root(g, p):
         g += 1

@@ -147,12 +147,13 @@ def _block_rows(m: int, n: int) -> int:
 
 
 def random_cycle_counts(n: int, samples: int, seed: int) -> list[int]:
-    """Cycle counts of `samples` uniform permutations of {1..n}, decomposed
-    a block of samples at a time.
+    """Cycle counts of `samples` uniform permutations of {0..n-1},
+    decomposed a block of samples at a time.
 
     Sample i is an unbiased shuffle of the identity by numpy's PCG64
     (`numpy.random.default_rng(seed + i)`), so a given seed always
-    reproduces the same counts for a fixed numpy version.
+    reproduces the same counts for a fixed numpy version, those of
+    `perm_oracle.random_permutation(n, seed + i)`, its shuffle of {1..n}.
     """
     if n < 1:
         raise ValueError(f"degree must be >= 1, got {n}")
@@ -250,11 +251,11 @@ def fixed_point_sweep(max_prime: int) -> list[tuple[int, float]]:
     """Average fixed-point count of x -> g**x over all generators g, for
     every prime p <= max_prime.
 
-    With d = p-1, every generator is g0**j for a unit j mod d, and x is
-    fixed by it iff j*x = log x (mod d).  With h = gcd(x mod d, d), a unit
-    solution j exists iff gcd(log x, d) = h, and then exactly
-    phi(d)/phi(d/h) units solve it.  Summing that over x counts the fixed
-    points of all phi(d) generators in O(p), exactly.
+    With d = p-1, every generator is g0**j for a unit j mod d, and
+    x = g0**e is fixed by it iff j*x = e (mod d).  With h = gcd(x mod d,
+    d), a unit solution j exists iff gcd(e, d) = h, and then exactly
+    phi(d)/phi(d/h) units solve it.  Summing that over g0's table counts
+    the fixed points of all phi(d) generators in O(p), exactly.
 
     p = 2 is included: its group is the single element {1}, the map is
     the identity on it, so the sole generator has one fixed point.
@@ -268,10 +269,10 @@ def fixed_point_sweep(max_prime: int) -> list[tuple[int, float]]:
             rows.append((2, 1.0))
             continue
         d = p - 1
-        log = _smallest_generator(p).log  # the sieve has proved p prime
+        table = _smallest_generator(p).table  # the sieve has proved p prime
         gcd_d = _exponent_gcds(d)  # gcd_d[r] = gcd(r, d)
-        h = np.roll(gcd_d, -1)  # h[x-1] = gcd(x mod d, d) for x = 1..d
-        solvable = gcd_d[log[1:]] == h
+        h = gcd_d[table % d]  # h[e] = gcd(x mod d, d) for x = table[e]
+        solvable = gcd_d == h
         total = int((phi[d] // phi[d // h[solvable]]).sum())
         rows.append((p, total / int(phi[d])))
     return rows

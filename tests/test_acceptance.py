@@ -3,10 +3,9 @@ line with its elapsed time.  Run with `pytest tests/test_acceptance.py -v -s`
 to see the lines as they complete.
 """
 
-import itertools
 import math
 import time
-from math import factorial, gcd
+from math import gcd
 
 import numpy as np
 import sympy
@@ -29,7 +28,7 @@ from elgamalmap.sidon import (
 )
 
 from box_oracle import count_in_box, naive_count
-from perm_oracle import random_permutation
+from perm_oracle import enumerated_cycle_distribution, random_permutation
 from sidon_oracle import dense_difference_counts
 
 
@@ -181,22 +180,6 @@ def test_criterion_07_cycle_statistics_at_1009():
             assert abs(avg_k_cycles[k - 1] - 1.0 / k) <= 0.25, k
 
 
-def _enumerated_cycle_distribution(n):
-    counts = [0] * (n + 1)
-    for image in itertools.permutations(range(1, n + 1)):
-        seen = [False] * (n + 1)
-        c = 0
-        for start in range(1, n + 1):
-            if not seen[start]:
-                c += 1
-                x = start
-                while not seen[x]:
-                    seen[x] = True
-                    x = image[x - 1]
-        counts[c] += 1
-    return [v / factorial(n) for v in counts]
-
-
 def test_criterion_08_random_baseline_calibration():
     with _criterion(8, "288 seeded uniform permutations calibrate the theory line"):
         images = {random_permutation(1009, seed).image for seed in range(288)}
@@ -206,7 +189,7 @@ def test_criterion_08_random_baseline_calibration():
         assert abs(sum(counts) / 288 - harmonic) <= 0.5
         for n in range(1, 9):
             dp = stirling_cycle_distribution(n)
-            exact = _enumerated_cycle_distribution(n)
+            exact = enumerated_cycle_distribution(n)
             assert max(abs(dp[c] - exact[c]) for c in range(n + 1)) <= 1e-12, n
 
 

@@ -358,6 +358,24 @@ def test_one_power_table_per_prime(argv, monkeypatch, capsys, tmp_path):
         assert primality_tests == []
 
 
+@pytest.mark.parametrize("subcommand", ["sidon", "char-sums"])
+def test_one_generator_check_maps_no_exponent(subcommand, monkeypatch, capsys):
+    """`sidon` and `char-sums` check g0's table whatever the generator, so
+    --generator 6 needs only Lucas's test: no generator but g0 is mapped
+    to its exponent, which would invert g0's table."""
+    exponents = numth.GroupParams.exponents
+
+    def g0_only(self, generators):
+        if generators != [self.g]:
+            raise ValueError(f"exponents of {generators} asked for")
+        return exponents(self, generators)
+
+    monkeypatch.setattr(numth.GroupParams, "exponents", g0_only)
+    code = main([subcommand, "--prime", "61", "--generator", "6"])
+    captured = capsys.readouterr()
+    assert (code, captured.err) == (0, "")
+
+
 def test_composite_prime_is_input_error(capsys):
     code = main(["cycles", "--prime", "10"])
     captured = capsys.readouterr()

@@ -1,6 +1,6 @@
-import itertools
+import sys
 import tracemalloc
-from math import factorial, gcd
+from math import gcd
 
 import numpy as np
 import pytest
@@ -19,31 +19,18 @@ from elgamalmap.permstat import (
     stirling_cycle_distribution,
 )
 
-from perm_oracle import elgamal_permutation, random_permutation
+from perm_oracle import (
+    elgamal_permutation,
+    enumerated_cycle_distribution,
+    orbit_walk_lengths,
+    random_permutation,
+)
 
 
 def _expected_cycles(n: int) -> float:
     """Oracle: the harmonic number H_n, the mean cycle count of a uniform
     permutation, summed from the smallest term up for accuracy."""
     return sum(1.0 / i for i in range(n, 0, -1))
-
-
-def _orbit_walk_lengths(image) -> list[int]:
-    """Oracle: cycle lengths by walking each orbit from its least element."""
-    n = len(image)
-    seen = bytearray(n + 1)
-    lengths = []
-    for start in range(1, n + 1):
-        if seen[start]:
-            continue
-        length = 0
-        x = start
-        while not seen[x]:
-            seen[x] = 1
-            x = image[x - 1]
-            length += 1
-        lengths.append(length)
-    return lengths
 
 
 def _decompose(images) -> tuple[np.ndarray, np.ndarray]:
@@ -76,7 +63,7 @@ def test_cycle_lengths_matches_orbit_walk(n, random_rows, seed):
     rows, lengths = _decompose(images)
     assert rows.tolist() == sorted(rows.tolist())
     for r, image in enumerate(images.tolist()):
-        assert lengths[rows == r].tolist() == _orbit_walk_lengths(image)
+        assert lengths[rows == r].tolist() == orbit_walk_lengths(image)
 
 
 @pytest.mark.parametrize("block_rows", [None, 1], ids=["multi-row", "one-row"])
@@ -95,7 +82,7 @@ def test_cycle_lengths_edges_match_orbit_walk(monkeypatch, n, block_rows):
     assert _block_rows(len(images), n) == (block_rows or len(images))
     rows, lengths = _decompose(images)
     for r, image in enumerate(images.tolist()):
-        assert lengths[rows == r].tolist() == _orbit_walk_lengths(image)
+        assert lengths[rows == r].tolist() == orbit_walk_lengths(image)
 
 
 @pytest.mark.parametrize("n", [1, 2, 7, 20000])  # 20000: one row per block
@@ -137,7 +124,7 @@ def test_cycle_lengths_sum_to_degree(n, seed):
 )
 def test_random_cycle_counts_matches_orbit_walk(n, samples, seed):
     expected = [
-        len(_orbit_walk_lengths(random_permutation(n, seed + i).image)) for i in range(samples)
+        len(orbit_walk_lengths(random_permutation(n, seed + i).image)) for i in range(samples)
     ]
     assert random_cycle_counts(n, samples, seed) == expected
 
@@ -192,18 +179,10 @@ def test_stirling_normalization_and_mean(n):
     assert mean == pytest.approx(_expected_cycles(n), rel=1e-6)
 
 
-def _enumerated_cycle_distribution(n):
-    """Ground truth by walking all n! permutations."""
-    counts = [0] * (n + 1)
-    for image in itertools.permutations(range(1, n + 1)):
-        counts[len(_orbit_walk_lengths(image))] += 1
-    return [v / factorial(n) for v in counts]
-
-
 @pytest.mark.parametrize("n", range(1, 9))
 def test_stirling_matches_exhaustive_enumeration(n):
     dp = stirling_cycle_distribution(n)
-    exact = _enumerated_cycle_distribution(n)
+    exact = enumerated_cycle_distribution(n)
     assert max(abs(dp[c] - exact[c]) for c in range(n + 1)) <= 1e-12
 
 
@@ -284,7 +263,7 @@ def test_family_cycle_lengths_matches_orbit_walk(p, how_many):
     assert np.all(np.diff(length)[np.diff(index) == 0] < 0)  # longest first, each length once
     assert np.bincount(index, weights=length * count).tolist() == [p - 1] * len(generators)
     for i, g in enumerate(generators):
-        walk = _orbit_walk_lengths([pow(g, x, p) for x in range(1, p)])
+        walk = orbit_walk_lengths([pow(g, x, p) for x in range(1, p)])
         lengths, counts = np.unique(walk, return_counts=True)
         assert length[index == i].tolist() == lengths[::-1].tolist()
         assert count[index == i].tolist() == counts[::-1].tolist()
@@ -355,15 +334,13 @@ def test_family_cycle_types_cases_cross_blocks():
     ids=["one-row-blocks", "all-generators"],
 )
 def test_family_kernel_allocates_only_its_work_arrays(p, generators, run):
-    """With g0's table and log built beforehand, a family run allocates the
+    """With g0's table built beforehand, a family run allocates the
     kernel's three work arrays and at most 128 KiB besides: the
     generators' exponents and the small per-block results.  One more
     array of p-1 cells breaks the bound: 8 MB at 999983, and at 4001 the
     160 KB that a block of exponents and a column of residues took."""
     generators = generators(p)
-    g0 = smallest_generator(p)
-    g0.exponents(generators)  # builds log for every generator but g0
-    g0.table  # built once per prime, before tracing
+    smallest_generator(p).table  # built once per prime, before tracing
     work_arrays = 3 * _block_rows(len(generators), p - 1) * (p - 1) * 8
     tracemalloc.start()
     try:
@@ -397,10 +374,27 @@ def test_fixed_point_sweep_small_values():
     assert rows[7] == 1.5
 
 
-@pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 31, 61, 101])
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 31, 61, 101, 1009, 2111])
 def test_fixed_point_sweep_agrees_with_decomposition(p):
     """Dual route: the vectorized sweep must reproduce the average number
     of 1-cycles over explicitly decomposed permutations."""
     _, avg_k_cycles = family_statistics(p, k_max=1)
     sweep_avg = dict(fixed_point_sweep(p))[p]
     assert sweep_avg == pytest.approx(avg_k_cycles[0], abs=1e-12)
+
+
+def test_fixed_point_sweep_allocates_only_its_arrays():
+    """Besides the rows it returns, the sweep to 20000 holds the totient
+    sieve and at most five int64 arrays of p-1 cells at once: g0's table,
+    the gcd table, h, and the previous prime's or the sum's temporaries.
+    An inverse of the table, p cells more, breaks the bound."""
+    fixed_point_sweep(20000)  # fills the prime-divisor cache before tracing
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        rows = fixed_point_sweep(20000)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    returned = sys.getsizeof(rows) + sum(sys.getsizeof(x) for row in rows for x in (row, *row))
+    assert peak <= returned + 8 * 20001 + 5 * 8 * 20000

@@ -283,15 +283,54 @@ def _called_names(node):
     ]
 
 
+def _read_attributes(node, modules):
+    """Names of every attribute read inside `node`: `f` for x.f, unless x
+    is one of the names in `modules` (so math.log is not a read of a
+    member named log)."""
+    return [
+        attr.attr
+        for attr in ast.walk(node)
+        if isinstance(attr, ast.Attribute) and isinstance(attr.ctx, ast.Load)
+        and getattr(attr.value, "id", None) not in modules
+    ]
+
+
+def _imported_modules(tree):
+    """The names that `import m` and `import m as x` bind in `tree`."""
+    return {
+        alias.asname or alias.name.partition(".")[0]
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Import)
+        for alias in node.names
+    }
+
+
+def _public_members(cls):
+    """The methods, properties and annotated fields of a class body whose
+    names do not start with an underscore."""
+    names = [
+        node.name if isinstance(node, ast.FunctionDef) else getattr(node.target, "id", "_")
+        for node in cls.body
+        if isinstance(node, (ast.FunctionDef, ast.AnnAssign))
+    ]
+    return [name for name in names if not name.startswith("_")]
+
+
 def test_every_public_function_is_called_by_the_program():
     """Each function a package module lists in its __all__ is called, and
     each class constructed, somewhere in the package or its scripts,
     outside its own body: one that only the tests call belongs with the
-    tests' oracles.  Constants are exempt."""
+    tests' oracles.  Each member of such a class is read there as an
+    attribute, outside the class body, so no cached field or method that
+    nothing reads stays.  Constants are exempt."""
     paths = [*(ROOT / "src" / "elgamalmap").glob("*.py"), *(ROOT / "scripts").glob("*.py")]
     trees = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in paths}
     calls = Counter(name for tree in trees.values() for name in _called_names(tree))
-    uncalled, unconstructed = [], set()
+    modules = {stem: _imported_modules(tree) for stem, tree in trees.items()}
+    reads = Counter(
+        name for stem, tree in trees.items() for name in _read_attributes(tree, modules[stem])
+    )
+    uncalled, unconstructed, unread = [], set(), set()
     for stem, tree in sorted(trees.items()):
         exported = {
             name
@@ -307,7 +346,14 @@ def test_every_public_function_is_called_by_the_program():
                         unconstructed.add(f"{stem}.{node.name}")
                     else:
                         uncalled.append(f"{stem}.{node.name}")
+                if isinstance(node, ast.ClassDef):
+                    for member in _public_members(node):
+                        if reads[member] == _read_attributes(node, modules[stem]).count(member):
+                            unread.add(f"{stem}.{node.name}.{member}")
     assert uncalled == []
-    # perfbench/child.py's DATACLASS_HOOKS keeps Permutation alive until it
-    # moves into the tests' oracles with the benchmark's retargeting (ROADMAP item 1a)
+    # perfbench/child.py's DATACLASS_HOOKS keeps Permutation (and so its
+    # image) alive, and its COUNTERS read SidonGraph.size, until Permutation
+    # moves into the tests' oracles and size goes with the benchmark's
+    # retargeting (ROADMAP item 1a)
     assert unconstructed == {"elgamal.Permutation"}
+    assert unread == {"elgamal.Permutation.image", "sidon.SidonGraph.size"}
