@@ -23,7 +23,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterator
 from contextlib import nullcontext
 from itertools import chain
 from math import gcd
@@ -41,6 +41,7 @@ from .numth import (
     smallest_generator,
 )
 from .permstat import (
+    DIST_MAX_CYCLES,
     family_cycle_types,
     family_statistics,
     fixed_point_sweep,
@@ -60,7 +61,6 @@ from .sidon import (
 __all__ = ["main"]
 
 DEFAULT_SEED = 0
-DIST_MAX_CYCLES = 20  # cycle-count tables truncate here
 CSV_BLOCK_VALUES = 2**14  # the CSV writer formats rows of at most this many values per `%`
 
 
@@ -128,8 +128,8 @@ def _cmd_cycles(args, out) -> bool:
     return True
 
 
-def _cycle_count_table(n: int, counts: Sequence[int]) -> tuple[np.ndarray, ...]:
-    """Columns c, theory percent, empirical percent for c = 1..min(20, n)."""
+def _cycle_count_table(n: int, counts: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Columns c, theory and empirical percent of the int64 cycle counts, c = 1..min(20, n)."""
     c = np.arange(1, min(DIST_MAX_CYCLES, n) + 1)
     hist = np.bincount(counts, minlength=c[-1] + 1)
     return c, 100.0 * stirling_cycle_distribution(n)[c], 100.0 * hist[c] / len(counts)
@@ -158,8 +158,7 @@ def _cmd_kcycles(args, out) -> bool:
 
 
 def _cmd_fixed_points(args, out) -> bool:
-    arrays = tuple(map(np.array, zip(*fixed_point_sweep(args.max_prime))))
-    out.writelines(_table(["p", "avg_fixed_points"], arrays, args.format))
+    out.writelines(_table(["p", "avg_fixed_points"], fixed_point_sweep(args.max_prime), args.format))
     return True
 
 
@@ -295,7 +294,7 @@ def _family(p: int) -> tuple[int, int, str]:
     """The cost of a run over all phi(p-1) generators, one table of p-1
     cells each.  Its limit admits every prime up to 10007 (50,050,012
     cells) and none above 14821, so the exact baseline that `cycle-dist`
-    adds, of degree p-1 (about 0.05 s at 14820), needs no cost of its own."""
+    adds, of degree p-1 (about 0.04 s at 14820), needs no cost of its own."""
     return generator_count(p) * (p - 1), 52_000_000, f"--prime {p} with all generators"
 
 
@@ -326,7 +325,7 @@ _SUBCOMMANDS = (
      # a sample seeds its own generator (about 13 us, counted as 256 cells
      # here) and decomposes its degree cells, which cost more above 2^15
      # (42 ns a cell at 65536 and 34 ns at 32768); the exact baseline takes
-     # one step per degree over its nonzero prefix, about 300 entries
+     # one step per degree over the 20 rows that the table prints and index 0
      lambda a: [((a.degree + 256) * a.samples, 2**25,
                  f"--degree {a.degree} --samples {a.samples}"),
                 (a.degree, 2**15, f"--degree {a.degree}")],

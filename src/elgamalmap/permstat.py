@@ -6,9 +6,9 @@ decomposes a block of 0-based image tables at once in three work
 arrays; the generator family of a prime, in a conjugate form with the
 same cycle types, and the seeded random sample are both fed to it in
 blocks of at most `_BLOCK_CELLS` cells.  Its callers reduce each row's
-cycles to counts, so none depends on their order in a row, and return
-the family's cycle types, cycle counts and k-cycle means as numpy
-columns.
+cycles to counts, so none depends on their order in a row.  Every
+function returns numpy columns: cycle types, cycle counts (of the family
+or of a seeded sample), k-cycle means, the exact law, fixed-point means.
 
 The baseline facts: a uniform permutation of n elements has s(n,c)/n!
 probability of exactly c cycles (unsigned Stirling numbers of the first
@@ -24,6 +24,8 @@ from collections.abc import Callable, Iterator
 import numpy as np
 
 from .numth import GroupParams, _exponent_gcds, _smallest_generator, smallest_generator
+
+DIST_MAX_CYCLES = 20  # cycle-count tables truncate here
 
 __all__ = [
     "stirling_cycle_distribution",
@@ -103,30 +105,27 @@ def _cycle_lengths(
 
 
 def stirling_cycle_distribution(n: int) -> np.ndarray:
-    """Exact distribution of the number of cycles of a uniform permutation:
-    the float64 array probs with probs[c] the probability of exactly c
-    cycles, for c in [1, n], and probs[0] = 0.
+    """Exact distribution of the number of cycles of a uniform permutation
+    of degree n: the float64 array probs with probs[c] the probability of
+    exactly c cycles, for c in [1, min(n, DIST_MAX_CYCLES)], and probs[0] = 0.
 
     The count of cycles is a sum of independent Bernoulli(1/i) variables
     for i = 1..n, so the distribution follows the recurrence
 
         P_m(c) = P_{m-1}(c-1) / m + P_{m-1}(c) * (1 - 1/m)
 
-    starting from P_1(1) = 1.  Computed in doubles; probabilities below
-    the underflow threshold clamp to zero, and each step skips that
-    all-zero upper tail.  The values s(n,c)/n! agree with the
-    unsigned-Stirling-number definition.
+    starting from P_1(1) = 1.  Entry c reads entries c-1 and c only, so the
+    kept prefix is the full recurrence's, byte for byte.  Computed in
+    doubles, underflow clamping to zero; the values s(n,c)/n! agree with
+    the unsigned-Stirling-number definition.
     """
     if n < 1:
         raise ValueError(f"degree must be >= 1, got {n}")
-    probs = np.zeros(n + 1)
+    probs = np.zeros(min(n, DIST_MAX_CYCLES) + 1)
     probs[1] = 1.0
-    top = 1  # probs[c] is exactly 0.0 for every c > top, so each step skips them
     for m in range(2, n + 1):
         q = 1.0 / m
-        probs[1 : top + 2] = probs[0 : top + 1] * q + probs[1 : top + 2] * (1.0 - q)
-        if probs[top + 1] != 0.0:
-            top += 1
+        probs[1:] = probs[:-1] * q + probs[1:] * (1.0 - q)
     return probs
 
 
@@ -146,9 +145,9 @@ def _block_rows(m: int, n: int) -> int:
     return max(1, min(m, _BLOCK_CELLS // n))
 
 
-def random_cycle_counts(n: int, samples: int, seed: int) -> list[int]:
-    """Cycle counts of `samples` uniform permutations of {0..n-1},
-    decomposed a block of samples at a time.
+def random_cycle_counts(n: int, samples: int, seed: int) -> np.ndarray:
+    """The int64 column of the cycle counts of `samples` uniform
+    permutations of {0..n-1}, decomposed a block of samples at a time.
 
     Sample i is an unbiased shuffle of the identity by numpy's PCG64
     (`numpy.random.default_rng(seed + i)`), so a given seed always
@@ -164,9 +163,10 @@ def random_cycle_counts(n: int, samples: int, seed: int) -> list[int]:
             row[:] = identity
             np.random.default_rng(seed + i).shuffle(row)
 
-    counts: list[int] = []
+    counts, start = np.empty(samples, dtype=np.int64), 0
     for m, rows, _ in _cycle_lengths(samples, n, fill):
-        counts.extend(np.bincount(rows, minlength=m).tolist())
+        counts[start : start + m] = np.bincount(rows, minlength=m)
+        start += m
     return counts
 
 
@@ -247,9 +247,9 @@ def _totients(n: int) -> np.ndarray:
     return phi
 
 
-def fixed_point_sweep(max_prime: int) -> list[tuple[int, float]]:
-    """Average fixed-point count of x -> g**x over all generators g, for
-    every prime p <= max_prime.
+def fixed_point_sweep(max_prime: int) -> tuple[np.ndarray, np.ndarray]:
+    """The int64 column of the primes p <= max_prime and the float64 column
+    of the average fixed-point count of x -> g**x over all generators g.
 
     With d = p-1, every generator is g0**j for a unit j mod d, and
     x = g0**e is fixed by it iff j*x = e (mod d).  With h = gcd(x mod d,
@@ -261,18 +261,18 @@ def fixed_point_sweep(max_prime: int) -> list[tuple[int, float]]:
     the identity on it, so the sole generator has one fixed point.
     """
     phi = _totients(max_prime)
-    rows: list[tuple[int, float]] = []
-    for p in range(2, max_prime + 1):
-        if phi[p] != p - 1:
-            continue
-        if p == 2:
-            rows.append((2, 1.0))
-            continue
-        d = p - 1
-        table = _smallest_generator(p).table  # the sieve has proved p prime
-        gcd_d = _exponent_gcds(d)  # gcd_d[r] = gcd(r, d)
-        h = gcd_d[table % d]  # h[e] = gcd(x mod d, d) for x = table[e]
-        solvable = gcd_d == h
-        total = int((phi[d] // phi[d // h[solvable]]).sum())
-        rows.append((p, total / int(phi[d])))
-    return rows
+    primes = np.flatnonzero(phi == np.arange(-1, max_prime))  # phi(p) = p-1 iff p is prime
+    means = (_mean_fixed_points(p, phi) for p in map(int, primes))
+    return primes, np.fromiter(means, np.float64, len(primes))
+
+
+def _mean_fixed_points(p: int, phi: np.ndarray) -> float:
+    """fixed_point_sweep's mean at p, which the totient sieve phi has proved
+    prime; its arrays are freed on return, before the next prime's are built."""
+    if p == 2:
+        return 1.0
+    d = p - 1
+    gcd_d = _exponent_gcds(d)  # gcd_d[r] = gcd(r, d)
+    h = gcd_d[_smallest_generator(p).table % d]  # h[e] = gcd(x mod d, d) for x = g0**e
+    solvable = h[gcd_d == h]  # the h of the e with a unit solution j
+    return int((phi[d] // phi[d // solvable]).sum()) / int(phi[d])

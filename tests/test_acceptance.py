@@ -195,7 +195,8 @@ def test_criterion_08_random_baseline_calibration():
 
 def test_criterion_09_fixed_point_sweep():
     with _criterion(9, "grand mean of fixed points over all generators, p <= 2111, in [0.85, 1.15]"):
-        rows = fixed_point_sweep(2111)
+        primes, means = fixed_point_sweep(2111)
+        rows = list(zip(primes.tolist(), means.tolist()))
         assert rows[0] == (2, 1.0)
         assert rows[-1][0] == 2111
         weighted = 0.0

@@ -59,6 +59,8 @@ def _cases() -> dict[str, list[str]]:
     cases["cycle-dist_p4001"] = ["cycle-dist", "--prime", "4001"]
     cases["kcycles_k20_p4001"] = ["kcycles", "--prime", "4001", "--k-max", "20"]
     cases["fixed-points_p1009"] = ["fixed-points", "--max-prime", "1009"]
+    cases["fixed-points_p2111"] = ["fixed-points", "--max-prime", "2111"]
+    cases["fixed-points_json_p2111"] = ["fixed-points", "--max-prime", "2111", "--format", "json"]
     cases["sidon_p1009"] = ["sidon", "--prime", "1009"]
     cases["sidon_p2003"] = ["sidon", "--prime", "2003"]
     cases["random-baseline_d1008"] = ["random-baseline", "--degree", "1008", "--samples", "288"]

@@ -1,15 +1,16 @@
-import sys
 import tracemalloc
 from math import gcd
 
 import numpy as np
 import pytest
+import sympy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from elgamalmap import permstat
 from elgamalmap.numth import GroupParams, all_generators, smallest_generator
 from elgamalmap.permstat import (
+    DIST_MAX_CYCLES,
     _block_rows,
     _cycle_lengths,
     family_cycle_types,
@@ -120,22 +121,24 @@ def test_cycle_lengths_sum_to_degree(n, seed):
 
 @pytest.mark.parametrize(
     ("n", "samples", "seed"),
-    [(1, 3, 0), (100, 400, 7), (20000, 2, 3)],  # 3 blocks; one row per block
+    [(1, 3, 0), (100, 400, 7), (20000, 2, 3), (5, 0, 0)],  # 3 blocks; one row per block; none
 )
 def test_random_cycle_counts_matches_orbit_walk(n, samples, seed):
     expected = [
         len(orbit_walk_lengths(random_permutation(n, seed + i).image)) for i in range(samples)
     ]
-    assert random_cycle_counts(n, samples, seed) == expected
+    counts = random_cycle_counts(n, samples, seed)
+    assert isinstance(counts, np.ndarray) and counts.dtype == np.int64
+    assert counts.tolist() == expected
 
 
 def test_random_cycle_counts_is_seeded_per_sample():
     """The same arguments give the same counts, and sample i is seeded
     with seed + i, across the 3 kernel blocks of 400 samples at n = 100."""
-    counts = random_cycle_counts(100, 400, 7)
+    counts = random_cycle_counts(100, 400, 7).tolist()
     assert len(set(counts)) > 1
-    assert random_cycle_counts(100, 400, 7) == counts
-    assert random_cycle_counts(100, 399, 8) == counts[1:]
+    assert random_cycle_counts(100, 400, 7).tolist() == counts
+    assert random_cycle_counts(100, 399, 8).tolist() == counts[1:]
 
 
 def test_stirling_examples():
@@ -158,11 +161,16 @@ def _full_stirling_recurrence(n):
     return probs
 
 
-@pytest.mark.parametrize("n", [1, 2, 170, 1008, 4000, 14820])
+def _printed_prefix(n):
+    """The entries 0..min(n, 20) of the full recurrence, those the tables print."""
+    return _full_stirling_recurrence(n)[: min(n, DIST_MAX_CYCLES) + 1]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 20, 21, 60, 170, 1008, 4000, 12486, 14820, 32768])
 def test_stirling_nonzero_prefix_matches_full_recurrence(n):
-    """Skipping the underflowed upper tail changes no byte: the full loop
-    leaves every one of those entries at exactly 0.0."""
-    assert stirling_cycle_distribution(n).tobytes() == _full_stirling_recurrence(n).tobytes()
+    """Computing only the entries the tables print changes none of their
+    bytes: the full recurrence's entry c reads only its entries c-1 and c."""
+    assert stirling_cycle_distribution(n).tobytes() == _printed_prefix(n).tobytes()
 
 
 def test_stirling_1009_mode_is_near_seven():
@@ -172,7 +180,10 @@ def test_stirling_1009_mode_is_near_seven():
 
 @pytest.mark.parametrize("n", [2, 5, 17, 100, 1009, 5000])
 def test_stirling_normalization_and_mean(n):
-    dist = stirling_cycle_distribution(n)
+    """The full recurrence is a distribution with mean H_n, and every entry
+    that production computes is that oracle's, byte for byte."""
+    dist = _full_stirling_recurrence(n)
+    assert stirling_cycle_distribution(n).tobytes() == _printed_prefix(n).tobytes()
     assert dist[0] == 0.0 and float(dist.min()) >= 0.0
     assert abs(float(dist.sum()) - 1.0) <= 1e-9
     mean = float(np.arange(n + 1) @ dist)
@@ -363,11 +374,25 @@ def test_fixed_point_sweep_matches_brute_force():
                 image = elgamal_permutation(GroupParams(p, g)).image
                 total += sum(image[x - 1] == x for x in range(1, p))
             expected.append((p, total / len(generators)))
-    assert fixed_point_sweep(211) == expected
+    primes, means = fixed_point_sweep(211)
+    assert list(zip(primes.tolist(), means.tolist())) == expected
+
+
+def _sweep_rows(max_prime):
+    """fixed_point_sweep's columns as {p: mean}."""
+    return dict(zip(*(column.tolist() for column in fixed_point_sweep(max_prime))))
+
+
+@pytest.mark.parametrize("max_prime", [1, 2, 3, 4, 100, 2111])
+def test_fixed_point_sweep_returns_columns_of_every_prime(max_prime):
+    primes, means = fixed_point_sweep(max_prime)
+    assert primes.dtype == np.int64 and means.dtype == np.float64
+    assert primes.shape == means.shape == (len(primes),)
+    assert primes.tolist() == list(sympy.primerange(2, max_prime + 1))
 
 
 def test_fixed_point_sweep_small_values():
-    rows = dict(fixed_point_sweep(7))
+    rows = _sweep_rows(7)
     assert rows[2] == 1.0  # identity on the one-element group
     assert rows[3] == 0.0
     assert rows[5] == 0.5
@@ -379,22 +404,23 @@ def test_fixed_point_sweep_agrees_with_decomposition(p):
     """Dual route: the vectorized sweep must reproduce the average number
     of 1-cycles over explicitly decomposed permutations."""
     _, avg_k_cycles = family_statistics(p, k_max=1)
-    sweep_avg = dict(fixed_point_sweep(p))[p]
+    sweep_avg = _sweep_rows(p)[p]
     assert sweep_avg == pytest.approx(avg_k_cycles[0], abs=1e-12)
 
 
 def test_fixed_point_sweep_allocates_only_its_arrays():
-    """Besides the rows it returns, the sweep to 20000 holds the totient
-    sieve and at most five int64 arrays of p-1 cells at once: g0's table,
-    the gcd table, h, and the previous prime's or the sum's temporaries.
-    An inverse of the table, p cells more, breaks the bound."""
+    """Besides the two columns it returns, the sweep to 20000 holds the
+    totient sieve and at most five int64 arrays of p-1 cells at once: g0's
+    table, the gcd table, h and the sum's temporaries.  Keeping the previous
+    prime's arrays alive while the next prime's are built, or an inverse of
+    the table, p cells more, breaks the bound."""
     fixed_point_sweep(20000)  # fills the prime-divisor cache before tracing
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
-        rows = fixed_point_sweep(20000)
+        primes, means = fixed_point_sweep(20000)
         peak = tracemalloc.get_traced_memory()[1] - start
     finally:
         tracemalloc.stop()
-    returned = sys.getsizeof(rows) + sum(sys.getsizeof(x) for row in rows for x in (row, *row))
+    returned = primes.nbytes + means.nbytes
     assert peak <= returned + 8 * 20001 + 5 * 8 * 20000
