@@ -69,12 +69,14 @@ class InputError(Exception):
 
 
 def _require_odd_prime(n: int) -> None:
-    if n < 3 or not is_prime(n):
-        raise InputError(f"{n} is not an odd prime")
-    if n > MAX_TABLE_MODULUS:  # its power table takes p-1 cells
+    # the power table takes p-1 cells; checked first, so that is_prime, by
+    # trial division, is asked only about n <= MAX_TABLE_MODULUS
+    if n > MAX_TABLE_MODULUS:
         raise InputError(
             f"--prime {n} needs {n} cells, above the supported maximum {MAX_TABLE_MODULUS}"
         )
+    if n < 3 or not is_prime(n):
+        raise InputError(f"{n} is not an odd prime")
 
 
 def _resolve_generators(p: int, selection: str, single: bool) -> list[int]:

@@ -5,15 +5,14 @@ for prime moduli, and the power table e -> g**e mod p that every
 experiment reads, kept once per prime as `smallest_generator(p).table`;
 `GroupParams.exponents` is the one map from a generator to its exponent.
 The experiments run at desk scale (moduli up to MAX_TABLE_MODULUS =
-10**6), so trial division and a deterministic Miller-Rabin base set are
-entirely adequate.
+10**6), so primality and factoring are both plain trial division.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cache, cached_property, lru_cache
-from math import gcd
+from math import gcd, isqrt
 
 import numpy as np
 
@@ -27,41 +26,13 @@ __all__ = [
     "power_table",
 ]
 
-# Witnesses making Miller-Rabin deterministic for all n < 3.3 * 10**24,
-# which covers the full 64-bit range.
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-
 
 def is_prime(n: int) -> bool:
-    """Deterministic primality test for 64-bit integers.
-
-    Args:
-        n: candidate, n >= 0.
-
-    Returns:
-        True iff n is prime.
-    """
-    if n < 2:
-        return False
-    for q in _MR_BASES:
-        if n % q == 0:
-            return n == q
-    d = n - 1
-    r = 0
-    while d % 2 == 0:
-        d //= 2
-        r += 1
-    for a in _MR_BASES:
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(r - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
+    """Whether n >= 0 is prime, by trial division by 2 and the odd
+    q <= isqrt(n): exact, in O(sqrt(n)) steps, the cost of factoring
+    p - 1 that every GroupParams already pays.  The program asks it only
+    about moduli up to MAX_TABLE_MODULUS."""
+    return n == 2 or (n > 2 and n % 2 == 1 and all(n % q for q in range(3, isqrt(n) + 1, 2)))
 
 
 @cache

@@ -383,6 +383,30 @@ def test_composite_prime_is_input_error(capsys):
     assert "not an odd prime" in captured.err
 
 
+@pytest.mark.parametrize(
+    "prime", ["18446744073709551557", str(10**30 + 1)], ids=["largest-64-bit-prime", "composite"]
+)
+def test_prime_above_table_limit_is_never_tested_for_primality(prime, monkeypatch, capsys):
+    """`--prime` is held to the table limit before primality, so a
+    composite above 10^6 gets the limit message that a prime above it
+    gets, and no input asks is_prime about an n above 10^6."""
+    asked = []
+
+    def counted_is_prime(n):
+        asked.append(n)
+        return is_prime(n)
+
+    monkeypatch.setattr(cli, "is_prime", counted_is_prime)
+    monkeypatch.setattr(numth, "is_prime", counted_is_prime)
+    code = main(["cycles", "--prime", prime])
+    captured = capsys.readouterr()
+    assert (code, captured.out, asked) == (1, "", [])
+    assert captured.err == (
+        f"elgamalmap: error: --prime {prime} needs {prime} cells, above the supported maximum "
+        f"{cli.MAX_TABLE_MODULUS}\n"
+    )
+
+
 _PARSER = cli._build_parser()
 
 

@@ -55,6 +55,10 @@ def _cases() -> dict[str, list[str]]:
     cases["cycles_all_p1009"] = ["cycles", "--prime", "1009", "--generator", "all"]
     cases["cycle-dist_p1009"] = ["cycle-dist", "--prime", "1009"]
     cases["kcycles_p1009"] = ["kcycles", "--prime", "1009"]
+    # p = 3 (mod 4): every generator's cycle count has one parity, so the
+    # rows of the other read 0 (odd c at 2003, even c at 211)
+    cases["cycle-dist_p211"] = ["cycle-dist", "--prime", "211"]
+    cases["cycle-dist_p2003"] = ["cycle-dist", "--prime", "2003"]
     # the `cycles` benchmark workload's family runs
     cases["cycle-dist_p4001"] = ["cycle-dist", "--prime", "4001"]
     cases["kcycles_k20_p4001"] = ["kcycles", "--prime", "4001", "--k-max", "20"]

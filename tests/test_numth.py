@@ -1,5 +1,6 @@
 from collections import Counter
 from functools import cache
+from math import isqrt
 
 import numpy as np
 import pytest
@@ -33,6 +34,16 @@ def test_is_prime_examples():
 @given(st.integers(min_value=0, max_value=10**12))
 def test_is_prime_matches_sympy(n):
     assert is_prime(n) == sympy.isprime(n)
+
+
+def test_is_prime_matches_a_sieve():
+    n = 2**17
+    sieve = np.ones(n, dtype=bool)
+    sieve[:2] = False
+    for q in range(2, isqrt(n - 1) + 1):
+        if sieve[q]:
+            sieve[q * q :: q] = False
+    assert [is_prime(k) for k in range(n)] == sieve.tolist()
 
 
 def test_prime_divisors_examples():

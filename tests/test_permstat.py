@@ -313,6 +313,44 @@ def test_family_statistics_orders_by_exponent(p):
     assert np.array_equal(cycle_counts, np.bincount(index, weights=count))
 
 
+def _sign(image) -> int:
+    """The sign (-1)**(n - cycles) of the permutation of {1..n} with 1-based
+    image table `image`, by orbit walk."""
+    return (-1) ** (len(image) - len(orbit_walk_lengths(image)))
+
+
+def _multiplication_sign(j: int, n: int) -> int:
+    """The sign of M_j, x -> j*x mod n on Z_n, by orbit walk."""
+    return _sign([j * x % n + 1 for x in range(n)])
+
+
+def test_multiplication_sign_follows_lerch():
+    """Lerch's extension of Zolotarev's lemma (M. Lerch, 1896; A. Brunyate
+    and P. L. Clark, Ramanujan J. 37, 2015): for even n and every unit j
+    mod n, M_j is even when n = 2 (mod 4), and has the sign
+    (-1)**((j-1)/2) when n = 0 (mod 4)."""
+    for n in range(2, 301, 2):
+        for j in range(1, n, 2):
+            if gcd(j, n) == 1:
+                expected = 1 if n % 4 == 2 else (-1) ** ((j - 1) // 2)
+                assert _multiplication_sign(j, n) == expected, (n, j)
+
+
+def test_family_cycle_count_parity_is_the_sign_law():
+    """On Z_d, d = p-1, the map x -> g0**(j*x) is T∘M_j with T(e) = g0**e
+    mod p reduced mod d, so the cycle count c of generator g0**j has
+    (-1)**(d-c) = sign(T)·sign(M_j): one parity for the whole family at
+    p = 3 (mod 4), and each parity for half of it at p = 1 (mod 4).  The
+    counts of `family_statistics` come in ascending order of the unit j."""
+    for p in sympy.primerange(3, 400):
+        d = p - 1
+        sign_t = _sign((smallest_generator(p).table % d + 1).tolist())
+        cycle_counts, _ = family_statistics(p, k_max=1)
+        units = [j for j in range(1, d) if gcd(j, d) == 1]
+        expected = [sign_t * _multiplication_sign(j, d) for j in units]
+        assert [(-1) ** (d - c) for c in cycle_counts.tolist()] == expected, p
+
+
 @pytest.mark.parametrize("rows", [1, 3], ids=["one-row", "three-rows"])
 def test_family_results_do_not_depend_on_block_size(monkeypatch, rows):
     """At 101, whose 40 generators take 100 cells each, blocks of one row

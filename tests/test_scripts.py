@@ -3,6 +3,7 @@ import importlib
 import json
 import os
 import platform
+import shutil
 import subprocess
 import sys
 from collections import Counter
@@ -79,6 +80,32 @@ def test_render_gallery_rejects_bad_input(tmp_path, args, error):
     assert result.stderr.splitlines()[-1].endswith(f": error: {error}")
     assert "Traceback" not in result.stderr
     assert not gallery.exists()
+
+
+def test_byte_sweep_quick(tmp_path):
+    """--quick against this checkout finds no difference; against a copy
+    whose CSV writer joins the header with ';', one byte away, it names
+    the first CSV run, shows the head of its diff and exits 1."""
+    result = _run_script("scripts/byte_sweep.py", "--quick", "--against", str(ROOT))
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.endswith(
+        " invocations, 0 differences in exit code, stdout, stderr and --out\n"
+    )
+    copy = tmp_path / "copy"
+    shutil.copytree(ROOT / "src", copy / "src", ignore=shutil.ignore_patterns("__pycache__"))
+    writer = copy / "src" / "elgamalmap" / "cli.py"
+    source = writer.read_text(encoding="utf-8")
+    assert source.count('yield ",".join(columns)') == 1
+    writer.write_text(source.replace('yield ",".join(columns)', 'yield ";".join(columns)'),
+                      encoding="utf-8")
+    result = _run_script("scripts/byte_sweep.py", "--quick", "--against", str(copy))
+    assert result.returncode == 1, result.stderr
+    lines = result.stdout.splitlines()
+    assert lines[0].startswith("0 of ")
+    assert lines[0].endswith(" invocations agree; invocation 0 differs in stdout: "
+                             "elgamalmap cycles --prime 3 --generator smallest --format csv")
+    assert "-generator;cycle_length;multiplicity" in lines
+    assert "+generator,cycle_length,multiplicity" in lines
 
 
 @pytest.mark.parametrize(
