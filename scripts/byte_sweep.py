@@ -54,10 +54,10 @@ for i, argv in enumerate(json.load(sys.stdin)):
 
 def _invocations(quick: bool) -> list[list[str]]:
     """Every subcommand in both formats at each prime, the edges of
-    `random-baseline` and `fixed-points`, and then one input of each kind
-    that `main` rejects, in the order it checks them.  The primes are
-    found here, not by the package, so the list does not depend on the
-    code it checks."""
+    `random-baseline` (kernel block boundaries included) and
+    `fixed-points`, and then one input of each kind that `main` rejects,
+    in the order it checks them.  The primes are found here, not by the
+    package, so the list does not depend on the code it checks."""
     if quick:
         primes = [3, 5, 13, 61]
     else:
@@ -95,6 +95,9 @@ def _invocations(quick: bool) -> list[list[str]]:
         for n in sorted({2**k + step for k in range(1, 13) for step in (-1, 0, 1)}):
             runs += [["random-baseline", "--degree", str(n), "--samples", "30", "--seed", seed]
                      for seed in ("0", "1")]
+        # two kernel blocks each, the second partial: 16,368 and 8,184 samples fill one
+        runs += [["random-baseline", "--degree", "1", "--samples", "20000"],
+                 ["random-baseline", "--degree", "2", "--samples", "9000"]]
         runs += [["fixed-points", "--max-prime", str(n)] for n in range(1, 300)]
         runs += [
             ["kcycles", "--prime", "4001", "--k-max", "20"],

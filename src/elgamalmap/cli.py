@@ -12,10 +12,10 @@ at most p-1, below 50 sqrt(p) ln(p)^2 for every admitted p, and the
 exponential-sum total is below n(2 + ln n), below 5n ln n for every
 n >= 2.
 
-`main` checks every input before it opens --out: --prime, then the
-declared costs, then --generator and polya's window.  Only then does it
-create or truncate --out, so an input error never touches the file, and
-a run that exits 2 still writes its document.
+`main` checks every input before it opens --out: that render-cycles has
+one, then --prime, the declared costs, --generator and polya's window.
+Only then does it create or truncate --out, so an input error never
+touches the file, and a run that exits 2 still writes its document.
 """
 
 from __future__ import annotations

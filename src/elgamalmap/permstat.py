@@ -38,7 +38,7 @@ __all__ = [
 
 def _cycle_lengths(
     m: int, n: int, fill: Callable[[int, int, np.ndarray, np.ndarray], None]
-) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Cycle lengths of m permutations of {0..n-1}, n >= 1, decomposed a
     block of `_block_rows(m, n)` rows at a time.
 
@@ -60,9 +60,9 @@ def _cycle_lengths(
     `scratch`, shaped like `out`, is the gather buffer, free for fill to use.
 
     Yields:
-        (rows, row, length) per block of `rows` permutations: one entry per
-        cycle, ordered by row within the block (within a row, by the least
-        cell of the cycle, which no caller relies on).
+        (row, length) per block: one entry per cycle, row being the index
+        in [0, m) of its permutation, ordered by row (within a row, by the
+        least cell of the cycle, which no caller relies on).
 
     Raises:
         ValueError: if a row is not a bijection on {0..n-1}.
@@ -101,7 +101,7 @@ def _cycle_lengths(
             np.minimum(least, lab[at], out=least)
         np.add.at(w, least, cells)
         roots = labels[least == labels]  # a cycle's least cell is its own label
-        yield rows, roots // n, w[roots]
+        yield start + roots // n, w[roots]
 
 
 def stirling_cycle_distribution(n: int) -> np.ndarray:
@@ -163,14 +163,13 @@ def random_cycle_counts(n: int, samples: int, seed: int) -> np.ndarray:
             row[:] = identity
             np.random.default_rng(seed + i).shuffle(row)
 
-    counts, start = np.empty(samples, dtype=np.int64), 0
-    for m, rows, _ in _cycle_lengths(samples, n, fill):
-        counts[start : start + m] = np.bincount(rows, minlength=m)
-        start += m
+    counts = np.zeros(samples, dtype=np.int64)
+    for row, _ in _cycle_lengths(samples, n, fill):
+        np.add.at(counts, row, 1)
     return counts
 
 
-def _family_blocks(g0: GroupParams, js: np.ndarray) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+def _family_blocks(g0: GroupParams, js: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """`_cycle_lengths` of g0**j for the units j mod p-1 in `js`, in order,
     each as e -> j*table[e] mod (p-1) on {0..p-2}: x -> g0**(j*x)
     conjugated by multiplication by j, so of the same cycle type.  The
@@ -200,11 +199,10 @@ def family_cycle_types(p: int, generators: list[int]) -> tuple[np.ndarray, np.nd
             is not a generator mod p.
     """
     g0 = smallest_generator(p)
-    blocks, start = [np.empty((2, 0), dtype=np.int64)], 0  # no generators, no rows
-    for m, rows, lengths in _family_blocks(g0, g0.exponents(generators)):
+    blocks = [np.empty((2, 0), dtype=np.int64)]  # no generators, no rows
+    for row, lengths in _family_blocks(g0, g0.exponents(generators)):
         # every length is below p, so one code sorts by row, then longest first
-        blocks.append(np.unique((start + rows) * p + p - lengths, return_counts=True))
-        start += m
+        blocks.append(np.unique(row * p + p - lengths, return_counts=True))
     code, count = np.concatenate(blocks, axis=1)
     return code // p, p - code % p, count
 
@@ -228,12 +226,11 @@ def family_statistics(p: int, k_max: int) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError(f"k_max must be >= 1, got {k_max}")
     g0 = smallest_generator(p)
     js = np.flatnonzero(_exponent_gcds(g0.d) == 1)
-    cycle_counts = np.empty(len(js), dtype=np.int64)
-    k_totals, start = np.zeros(k_max + 1, dtype=np.int64), 0
-    for m, rows, lengths in _family_blocks(g0, js):
-        cycle_counts[start : start + m] = np.bincount(rows, minlength=m)
+    cycle_counts = np.zeros(len(js), dtype=np.int64)
+    k_totals = np.zeros(k_max + 1, dtype=np.int64)
+    for row, lengths in _family_blocks(g0, js):
+        np.add.at(cycle_counts, row, 1)
         k_totals += np.bincount(lengths, minlength=k_max + 1)[: k_max + 1]
-        start += m
     # divide, then slice: dividing a 1-element array (k_max = 1) maps 64 KB more numpy code
     return cycle_counts, (k_totals / len(js))[1:]
 

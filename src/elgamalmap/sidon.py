@@ -18,10 +18,11 @@ length-(p-1) FFT certifies it, and the incomplete-sum total is one O(n)
 pass over closed forms.
 
 Exponents are the residues {0, ..., p-2} of Z_{p-1}, the index set of
-`numth.power_table`; the permutation module reads the same table at
-x mod p-1 for x in {1, ..., p-1}, and the graph of g = g0**j reads the
-smallest generator g0's one table at j*x mod (p-1), j from
-`GroupParams.exponents`.  Points are (group element, exponent).
+`numth.power_table`, and points are (group element, exponent).  The
+graph of g = g0**j reads the smallest generator g0's one table at
+j*x mod (p-1), j from `GroupParams.exponents`; `permstat` decomposes
+e -> j*table[e] mod (p-1), x -> g**x conjugated by multiplication by j,
+which has the same cycle type.
 """
 
 from __future__ import annotations

@@ -291,9 +291,13 @@ def test_render_cycles_writes_svg(capsys, tmp_path):
 
 
 def test_render_cycles_requires_out(capsys):
-    code = main(["render-cycles", "--prime", "5", "--generator", "2"])
-    capsys.readouterr()
-    assert code == 1
+    """`main` checks for render-cycles' --out before --prime, so --prime 4
+    without --out gets the --out line, not "4 is not an odd prime"."""
+    error = "elgamalmap: error: render-cycles requires --out PATH for the SVG file\n"
+    for argv in (["--prime", "5", "--generator", "2"], ["--prime", "4"]):
+        code = main(["render-cycles", *argv])
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == (1, "", error)
 
 
 def test_sign_demo(capsys):

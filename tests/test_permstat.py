@@ -44,9 +44,8 @@ def _decompose(images) -> tuple[np.ndarray, np.ndarray]:
         out[:] = images[start:stop] - 1
 
     blocks = list(_cycle_lengths(*images.shape, fill))
-    starts = np.cumsum([0] + [m for m, _, _ in blocks])
-    return (np.concatenate([row + start for (_, row, _), start in zip(blocks, starts)]),
-            np.concatenate([lengths for _, _, lengths in blocks]))
+    return (np.concatenate([row for row, _ in blocks]),
+            np.concatenate([lengths for _, lengths in blocks]))
 
 
 @settings(max_examples=100)
@@ -257,17 +256,24 @@ def test_family_statistics_rejects_bad_input():
         family_statistics(5, k_max=0)
 
 
-# (p, how many of its generators, smallest first; None for all of them)
+# (p, which of its generators, from the list of all of them smallest first;
+# None for that list)
 _ORACLE_CASES = [(p, None) for p in range(3, 200) if all(p % q for q in range(2, p))]
-_ORACLE_CASES += [(1009, None), (16381, 3)]
+_ORACLE_CASES += [(1009, None), (16381, lambda gs: gs[:3])]
+_ORACLE_IDS = [str(p) for p, _ in _ORACLE_CASES]
+# largest first, then the smallest again, so the order is the caller's, not ascending
+_ORACLE_CASES.append((1009, lambda gs: gs[::-1] + gs[:1]))
+_ORACLE_IDS.append("1009-descending")
 
 
-@pytest.mark.parametrize("p, how_many", _ORACLE_CASES, ids=[str(p) for p, _ in _ORACLE_CASES])
-def test_family_cycle_lengths_matches_orbit_walk(p, how_many):
-    """`family_cycle_types`: each generator's rows are the multiset of
-    orbit-walk lengths of its own permutation x -> pow(g, x, p), longest
-    first, and cover p-1."""
-    generators = all_generators(p)[:how_many]
+@pytest.mark.parametrize("p, pick", _ORACLE_CASES, ids=_ORACLE_IDS)
+def test_family_cycle_lengths_matches_orbit_walk(p, pick):
+    """`family_cycle_types`: each generator's rows, under its position in
+    the caller's list, are the multiset of orbit-walk lengths of its own
+    permutation x -> pow(g, x, p), longest first, and cover p-1."""
+    generators = all_generators(p)
+    if pick is not None:
+        generators = pick(generators)
     index, length, count = family_cycle_types(p, generators)
     assert all(a.dtype == np.int64 for a in (index, length, count))
     assert np.all(np.diff(index) >= 0)
@@ -281,20 +287,22 @@ def test_family_cycle_lengths_matches_orbit_walk(p, how_many):
 
 
 # the whole family at 16381 is about 57 M cells, so its 3-generator case stays with the oracle
-_FAMILY_PRIMES = [p for p, how_many in _ORACLE_CASES if how_many is None]
+_FAMILY_PRIMES = [p for p, pick in _ORACLE_CASES if pick is None]
 
 
 @pytest.mark.parametrize("p", _FAMILY_PRIMES, ids=str)
 def test_family_statistics_matches_cycle_types(p):
     """`family_statistics` reduces the oracle-tested `family_cycle_types`
-    of all generators: the same cycle counts, compared sorted since the
-    two order the family differently, and the mean count of each length k;
-    with k_max = p + 1, the rows past p-1 read 0."""
-    generators = all_generators(p)
+    of all generators, given in the family's order g0**j for the units j
+    mod p-1 ascending: the same cycle count per generator, in that order,
+    and the mean count of each length k; with k_max = p + 1, the rows past
+    p-1 read 0."""
+    units = [j for j in range(1, p - 1) if gcd(j, p - 1) == 1]
+    generators = smallest_generator(p).table[units].tolist()
     index, length, count = family_cycle_types(p, generators)
     cycle_counts, avg_k_cycles = family_statistics(p, k_max=p + 1)
     assert (cycle_counts.dtype, avg_k_cycles.dtype) == (np.int64, np.float64)
-    assert np.array_equal(np.sort(cycle_counts), np.sort(np.bincount(index, weights=count)))
+    assert np.array_equal(cycle_counts, np.bincount(index, weights=count))
     k_totals = np.bincount(length, weights=count, minlength=p + 2)
     assert np.array_equal(avg_k_cycles, k_totals[1:] / len(generators))
     assert not avg_k_cycles[p - 1 :].any()
@@ -367,10 +375,11 @@ def test_family_results_do_not_depend_on_block_size(monkeypatch, rows):
 
 
 def test_family_cycle_types_cases_cross_blocks():
-    """The oracle's two large cases add each block's row offset: all 288
-    generators of 1009 at 16 rows a block (18 blocks), and at 16381,
-    whose p-1 cells exceed _BLOCK_CELLS, one row a block."""
-    assert _block_rows(288, 1008) == 16
+    """The oracle's large cases span blocks: all 288 generators of 1009 at
+    16 rows a block (18 blocks), and in its descending case 289 (the last
+    block holds one row), and at 16381, whose p-1 cells exceed
+    _BLOCK_CELLS, one row a block."""
+    assert _block_rows(288, 1008) == _block_rows(289, 1008) == 16
     assert _block_rows(3, 16380) == 1
 
 
